@@ -22,6 +22,7 @@ from .dataset import Dataset, load_csv, save_csv, standardize, synthetic
 from .ekm import Solution, SolverParams, solve_ekm
 from .errors import (
     DisjointnessViolation,
+    DistanceOverflow,
     EmptyDataset,
     ExactKMedoidsError,
     InstanceTooLarge,
@@ -61,6 +62,7 @@ __all__ = [
     "CompareRow",
     "Dataset",
     "DisjointnessViolation",
+    "DistanceOverflow",
     "DistanceCache",
     "EmptyDataset",
     "ExactKMedoidsError",

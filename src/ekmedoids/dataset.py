@@ -104,15 +104,18 @@ def save_csv(ds: Dataset, path) -> None:
 def standardize(ds: Dataset) -> Dataset:
     """Z-score each column to sample mean 0 and sample standard deviation 1.
 
-    Columns with zero variance become all-zero.  Requires n >= 2.
+    Constant columns become all-zero.  Each column is first scaled by the
+    power of two that brings its largest magnitude into [0.5, 1); that is
+    exact and leaves the z-scores' bits unchanged, but keeps the squares
+    of tiny deviations from underflowing and the sums of huge values from
+    overflowing.  Requires n >= 2.
     """
     if ds.n < 2:
         raise InsufficientData(f"standardize needs n >= 2, got n={ds.n}")
-    pts = ds.points
-    mean = pts.mean(axis=0)
-    sd = pts.std(axis=0, ddof=1)
-    centered = pts - mean
-    out = np.where(sd > 0.0, centered / np.where(sd > 0.0, sd, 1.0), 0.0)
+    pts = np.ldexp(ds.points, -np.frexp(np.abs(ds.points).max(axis=0))[1])
+    constant = np.ptp(pts, axis=0) == 0
+    sd = np.where(constant, 1.0, pts.std(axis=0, ddof=1))
+    out = np.where(constant, 0.0, (pts - pts.mean(axis=0)) / sd)
     return Dataset(out, source=f"standardize({ds.source})")
 
 

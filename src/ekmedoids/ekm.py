@@ -2,21 +2,27 @@
 
 The unfused machinery in `generator` materializes every combination before
 evaluation.  Here the evaluator is fused into the level-store merge (a
-configuration reaching the target size K is scored immediately) and the
-selector is fused on top (scored configurations are streamed into one
-incumbent and never retained).  Only partial configurations of size < K are
-stored, so for fixed K the search over all C(N, K) medoid sets runs in
-O(N^{K+1}) time and O(N^{K-1}) space.
+configuration reaching the target size K is scored as soon as its parts
+exist) and the selector is fused on top (scored configurations are
+streamed into one incumbent and never retained).  Only partial
+configurations of size < K are stored, so for fixed K the search over all
+C(N, K) medoid sets runs in O(N^{K+1}) time and O(N^{K-1} + N^2) space.
 
 Two implementations share these semantics: list-based `cross_join_eval` /
 `merge_eval`, which mirror the unfused operators one-to-one and exist for
-testing, and the array-based driver `solve_ekm`, which exploits that per
-point p the newly completed configurations are exactly the stored size
-K-1 partials extended by p, evaluated as one vectorized batch.
+testing, and the array-based `solve_ekm`, which scores partial-major:
+step p creates the size K-1 partials that end at p; each one's row-min
+over the transposed distance matrix is built once and then scored
+against every later point q with one `minimum` and one contiguous
+length-N row sum, the same sum `total_deviation` takes, so objectives are
+bit-equal to `evaluate_batch`.  Steps whose work is small are batched
+into one scoring round.
 
-Tie rule: the incumbent is replaced only on a strictly smaller objective.
-Configurations complete in colexicographic order, so the solver returns
-the minimal-colex optimal medoid set, deterministically.
+Tie rule: `solve_ekm` does not score configurations in colexicographic
+order, so its incumbent compares (objective, colex rank) and keeps the
+smaller pair; the list-based operators stream in colex order and keep the
+earlier of two tied configurations.  Either way the minimal-colex optimal
+medoid set is returned, deterministically.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import numpy as np
 from .dataset import Dataset, standardize
 from .errors import (
     DisjointnessViolation,
+    DistanceOverflow,
     EmptyDataset,
     InstanceTooLarge,
     InvalidArguments,
@@ -38,6 +45,7 @@ from .errors import (
 )
 from .generator import Config
 from .metrics import (
+    _CHUNK_ELEMS,
     DEFAULT_CACHE_BUDGET,
     DEFAULT_METRIC,
     DistanceCache,
@@ -53,8 +61,8 @@ _INT64_MAX = 2**63 - 1
 
 DEFAULT_MEMORY_BUDGET = 2**32  # 4 GiB
 
-# floats per evaluation scratch buffer, as in metrics.evaluate_batch
-_CHUNK_ELEMS = 1 << 23
+# floats of scoring work up to which consecutive steps share one batch
+_BATCH_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,10 +195,113 @@ def merge_eval(*args) -> list[list[EvaluatedConfig]]:
 
 
 def estimate_solver_bytes(n: int, k: int) -> int:
-    """Upper estimate of solver-owned memory for an (n, k) instance."""
+    """Upper estimate of solver-owned memory for an (n, k) instance.
+
+    Counts the level stores of partials of sizes 1 .. k-1 and, for K >= 2,
+    the transposed distance matrix plus the scoring scratch; K = 1 scores
+    one distance column at a time.
+    """
+    return _solver_bytes(n, k, _plan(n, k)[1])
+
+
+def _solver_bytes(n: int, k: int, scratch: tuple[int, ...]) -> int:
+    """`estimate_solver_bytes` for scratch sizes already planned."""
     levels = sum(math.comb(n, j) * j * 8 for j in range(1, k))
-    scratch = 3 * _CHUNK_ELEMS * 8
-    return levels + scratch
+    if k == 1:
+        return levels + 2 * n * 8
+    return levels + 8 * n * n + sum(scratch) * 8
+
+
+def _batches(n: int, k: int):
+    """The scoring schedule: yields (p, lo, hi, p0) for K >= 2.
+
+    After step p, the size k-1 partials in store rows lo:hi, created at
+    steps p0 .. p, are scored against every point q > p0.  Consecutive
+    steps are batched until that work reaches `_BATCH_ELEMS` floats, so
+    the fixed cost of a scoring round stays small next to its work at
+    small N; step n-2, the last with a later point, closes the final batch.
+    """
+    lo, p0 = 0, k - 2
+    for p in range(k - 2, n - 1):
+        hi = math.comb(p + 1, k - 1)
+        if p == n - 2 or (hi - lo) * (n - 1 - p0) * n >= _BATCH_ELEMS:
+            yield p, lo, hi, p0
+            lo, p0 = hi, p + 1
+
+
+def _block_shape(n: int, m: int, p0: int) -> tuple[int, int]:
+    """(later points, partials) per scoring block for a batch of m partials
+    starting at step p0: at most `_CHUNK_ELEMS` floats, or one length-N
+    row when N is larger."""
+    qb = min(n - 1 - p0, max(1, _CHUNK_ELEMS // n))
+    return qb, min(m, max(1, _CHUNK_ELEMS // (qb * n)))
+
+
+def _plan(n: int, k: int) -> tuple[dict, tuple[int, ...]]:
+    """The scoring rounds of a solve, keyed by the step after which each
+    runs, and the floats of scratch they need for the scoring block, the
+    row-min and the gather buffer.  K = 1 has neither."""
+    if k == 1:
+        return {}, ()
+    rounds = {
+        p: (lo, hi, p0, *_block_shape(n, hi - lo, p0))
+        for p, lo, hi, p0 in _batches(n, k)
+    }
+    rows = max(mb for *_, mb in rounds.values()) * n
+    block = max(qb * mb for *_, qb, mb in rounds.values()) * n
+    return rounds, (block, rows, rows if k > 2 else 0)
+
+
+def _transposed(cache: DistanceCache, n: int) -> np.ndarray:
+    """The contiguous transpose `dt` of the distance matrix: dt[q] = d(., q).
+
+    Gathered through `cache.columns` in blocks of at most `_CHUNK_ELEMS`
+    floats, so precomputed and on-the-fly caches are read the same way.
+    """
+    dt = np.empty((n, n), dtype=np.float64)
+    step = max(1, _CHUNK_ELEMS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        dt[lo:hi] = cache.columns(np.arange(lo, hi)).T
+    return dt
+
+
+def _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
+    """Score the partials store[lo:hi], created at steps p0 and later,
+    against every point q > p0.
+
+    Yields (values, q0, r0) blocks in which values[i, j] is the objective
+    of store[r0 + j] extended by q0 + i, or +inf where q0 + i is not above
+    the partial's last point.  A partial's row-min over `dt` is built once
+    per block and each objective is the sum of one contiguous length-N
+    row, so values are bit-equal to `total_deviation`'s.
+    """
+    n = dt.shape[0]
+    block_buf, rowmin_buf, gather_buf = buffers
+    for r0 in range(lo, hi, mb):
+        parts = store[r0 : min(r0 + mb, hi)]
+        m = parts.shape[0]
+        rowmin = rowmin_buf[: m * n].reshape(m, n)
+        np.take(dt, parts[:, 0], axis=0, out=rowmin, mode="clip")
+        for j in range(1, parts.shape[1]):
+            gather = gather_buf[: m * n].reshape(m, n)
+            np.take(dt, parts[:, j], axis=0, out=gather, mode="clip")
+            np.minimum(rowmin, gather, out=rowmin)
+        last = parts[:, -1]
+        for q0 in range(p0 + 1, n, qb):
+            nb = min(qb, n - q0)
+            # numpy runs the broadcast fastest with the smaller count outermost
+            if m < nb:
+                block = block_buf[: nb * m * n].reshape(m, nb, n)
+                np.minimum(rowmin[:, None], dt[None, q0 : q0 + nb], out=block)
+                values = np.add.reduce(block, axis=2).T
+            else:
+                block = block_buf[: nb * m * n].reshape(nb, m, n)
+                np.minimum(dt[q0 : q0 + nb, None], rowmin[None], out=block)
+                values = np.add.reduce(block, axis=2)
+            if last[-1] >= q0:
+                values[np.arange(q0, q0 + nb)[:, None] <= last] = np.inf
+            yield values, q0, r0
 
 
 def _validate_instance(ds: Dataset, k: int) -> None:
@@ -216,15 +327,17 @@ def solve_ekm(
     Returns the global optimum of the clustering objective; ties between
     optimal medoid sets resolve to the minimal colex rank.  Passing a
     prebuilt `cache` keeps its construction out of the reported wall time.
-    Refuses instances whose partial-configuration store would exceed the
-    memory budget, reporting the estimate instead of exhausting memory.
+    Refuses instances whose solver memory (`estimate_solver_bytes`) would
+    exceed the memory budget, reporting the estimate instead of exhausting
+    memory.
     """
     k = int(params.k)
     _validate_instance(ds, k)
-    estimate = estimate_solver_bytes(ds.n, k)
+    rounds, sizes = _plan(ds.n, k)
+    estimate = _solver_bytes(ds.n, k, sizes)
     if estimate > params.memory_budget_bytes:
         raise InstanceTooLarge(
-            f"estimated {estimate} bytes of partial-configuration storage "
+            f"estimated {estimate} bytes of solver memory "
             f"for N={ds.n}, K={k} exceeds the {params.memory_budget_bytes} "
             f"byte budget",
             estimate=estimate,
@@ -241,35 +354,18 @@ def solve_ekm(
     capacity = [math.comb(n, j) for j in range(k)]
     arrays = [np.empty((capacity[j], j), dtype=np.int64) for j in range(k)]
     counts = [1] + [0] * (k - 1)
-    chunk = max(1, _CHUNK_ELEMS // max(1, n * k))
+    store = arrays[k - 1]
+    if k > 1:
+        dt = _transposed(cache, n)
+        # one scratch allocation per solve, split into the three buffers
+        buffers = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    # the incumbent orders by (objective, colex rank); every objective is
+    # finite (see DistanceCache), so the +inf of a skipped entry never wins
     best_val = math.inf
-    best_cfg: Optional[np.ndarray] = None
-    best_p = -1
+    best_rank = best_row = best_q = -1
     evaluated = 0
     level_log: Optional[list[list[int]]] = [] if record_level_sizes else None
     for p in range(n):
-        # score the configurations completed by p: every stored size k-1
-        # partial extended with p, in store (= colex) order
-        c = counts[k - 1]
-        top = arrays[k - 1]
-        if c > 0:
-            col_p = cache.columns(np.array([p], dtype=np.int64))
-            for lo in range(0, c, chunk):
-                sub = top[lo : min(lo + chunk, c)]
-                if k == 1:
-                    mins = col_p
-                else:
-                    cols = cache.columns(sub.ravel())
-                    mins = cols.reshape(n, sub.shape[0], k - 1).min(axis=2)
-                    mins = np.minimum(mins, col_p)
-                values = total_deviation(mins)
-                jmin = int(np.argmin(values))
-                vmin = float(values[jmin])
-                if vmin < best_val:
-                    best_val = vmin
-                    best_cfg = sub[jmin].copy()
-                    best_p = p
-                evaluated += sub.shape[0]
         # extend the store: append each size j-1 partial + p to level j,
         # after the retained prefix (keeps colex order)
         for j in range(k - 1, 0, -1):
@@ -284,9 +380,29 @@ def solve_ekm(
             counts[j] += m
         if level_log is not None:
             level_log.append(list(counts))
-    if best_cfg is None:
-        best_cfg = np.empty(0, dtype=np.int64)
-    medoids = np.append(best_cfg, best_p).astype(np.int64)
+        if k == 1:
+            column = cache.columns(np.array([p], dtype=np.int64))
+            blocks = [(total_deviation(column)[None], p, 0)]
+            evaluated += 1
+        elif p in rounds:
+            lo, hi, p0, qb, mb = rounds[p]
+            blocks = _score_partials(dt, store, lo, hi, p0, qb, mb, buffers)
+            evaluated += int((n - 1 - store[lo:hi, -1]).sum())
+        else:
+            continue
+        for values, q0, r0 in blocks:
+            flat = int(values.argmin())
+            vmin = float(values.flat[flat])
+            if vmin > best_val:
+                continue
+            dq, dr = divmod(flat, values.shape[1])
+            q, row = q0 + dq, r0 + dr
+            rank = math.comb(q, k) + row
+            if vmin < best_val or rank < best_rank:
+                best_val, best_rank, best_row, best_q = vmin, rank, row, q
+    if best_rank < 0:
+        raise DistanceOverflow("no medoid set has a finite objective")
+    medoids = np.append(store[best_row], best_q)
     check = evaluate_objective(ds, medoids, cache)
     if check != best_val:
         raise AssertionError(

@@ -38,6 +38,10 @@ class UnknownMetric(ExactKMedoidsError):
     """A metric name not present in the registry."""
 
 
+class DistanceOverflow(ExactKMedoidsError):
+    """Distances that are not finite, or so large that an objective overflows."""
+
+
 class DisjointnessViolation(ExactKMedoidsError):
     """Cross-joined configurations share an index."""
 

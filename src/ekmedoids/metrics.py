@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
-from .errors import InvalidArguments, ShapeError, UnknownMetric
+from .errors import DistanceOverflow, InvalidArguments, ShapeError, UnknownMetric
 
 DEFAULT_CACHE_BUDGET = 2**31  # 2 GiB
 
@@ -121,18 +121,42 @@ def sq_euclidean(x, y) -> float:
     return get_metric("sqeuclidean")(x, y)
 
 
+def _check_finite(block: np.ndarray) -> np.ndarray:
+    """Refuse distances from which an objective could overflow.
+
+    An objective is at most the sum of one distance column, and twice the
+    block total bounds every column sum with rounding included, so a finite
+    doubled total keeps every objective built from this block finite.  NaN
+    and infinite distances fail the same test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = 2.0 * block.sum()
+    if not np.isfinite(total):
+        raise DistanceOverflow(
+            "distances are not finite or sum past the float64 range; "
+            "rescale the data"
+        )
+    return block
+
+
 @dataclass
 class DistanceCache:
     """Pairwise distances, precomputed when they fit the byte budget.
 
     Lookups return identical values in either mode; `columns` is the bulk
-    access path used by all solvers.
+    access path used by all solvers.  Distances are checked where they are
+    made (the precomputed matrix once, on-the-fly blocks as produced), so
+    every objective a solver sees is finite.
     """
 
     dataset: Dataset
     metric: Metric
     mode: str  # "precomputed" | "on-the-fly"
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.matrix is not None:
+            _check_finite(self.matrix)
 
     def columns(self, indices) -> np.ndarray:
         """Distance matrix slice d(x_i, x_j) for all points i, j in `indices`.
@@ -143,7 +167,7 @@ class DistanceCache:
         if self.mode == "precomputed":
             return self.matrix[:, idx]
         pts = self.dataset.points
-        return self.metric.pairwise(pts, pts[idx])
+        return _check_finite(self.metric.pairwise(pts, pts[idx]))
 
     def value(self, i: int, j: int) -> float:
         if self.mode == "precomputed":

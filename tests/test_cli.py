@@ -94,6 +94,14 @@ def test_ragged_csv_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_overflowing_distances_exit_3(tmp_path, capsys):
+    p = tmp_path / "huge.csv"
+    p.write_text("1e200\n2e200\n-1e200\n5.0\n")
+    code = run(["cluster", "--input", str(p), "--k", "2"])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_k_larger_than_n_exits_3(toy_csv, capsys):
     code = run(["cluster", "--input", toy_csv, "--k", "9"])
     assert code == 3

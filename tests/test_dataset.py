@@ -126,6 +126,25 @@ def test_standardize_constant_column():
     assert np.all(out.points[:, 0] == 0.0)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.0125, 349525.34909955])
+def test_standardize_constant_column_is_zero(value):
+    # the mean of equal values can round away from them; ptp == 0 cannot
+    out = standardize(Dataset(points=np.array([[value]] * 3)))
+    assert out.points.tolist() == [[0.0]] * 3
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[0.0, 5e-324, 5e-324], [1e-160, 0.0, 3e-160], [-1.7e308, 1.7e308, 0.0]],
+    ids=["subnormal", "tiny-squares", "huge-sum"],
+)
+def test_standardize_extreme_scales_idempotent(column):
+    once = standardize(Dataset(points=np.array(column)[:, None]))
+    twice = standardize(once)
+    assert once.points.std(ddof=1) == pytest.approx(1.0, rel=1e-15)
+    assert np.allclose(twice.points, once.points, atol=1e-12, rtol=0)
+
+
 def test_standardize_requires_two_rows():
     with pytest.raises(InsufficientData):
         standardize(Dataset(points=np.array([[1.0, 2.0]])))

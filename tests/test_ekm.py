@@ -21,6 +21,7 @@ from ekmedoids import (
     solve_exhaustive,
     synthetic,
 )
+from ekmedoids import ekm
 from ekmedoids.ekm import (
     Incumbent,
     cross_join_eval,
@@ -248,6 +249,35 @@ def test_memory_estimate_refusal():
         solve_ekm(ds, SolverParams(k=3, memory_budget_bytes=10_000))
     assert exc.value.estimate == estimate_solver_bytes(100, 3)
     assert exc.value.estimate > 10_000
+
+
+def test_memory_estimate_counts_transpose_only_for_k_above_one():
+    n = 4000
+    assert estimate_solver_bytes(n, 1) < 8 * n * n
+    assert estimate_solver_bytes(n, 2) >= 8 * n * n + 8 * math.comb(n, 1)
+
+
+@pytest.mark.parametrize(
+    "chunk, batch",
+    [(1, 1 << 16), (7, 1 << 62), (1 << 23, 1)],
+    ids=["one-config-blocks", "one-batch", "one-step-rounds"],
+)
+def test_ties_across_scoring_blocks(monkeypatch, chunk, batch):
+    # integer-grid points with many duplicates make many exact ties; tiny
+    # blocks and odd batchings split tied sets across calls and steps
+    monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
+    monkeypatch.setattr(ekm, "_BATCH_ELEMS", batch)
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        n = int(rng.integers(5, 14))
+        ds = Dataset(points=rng.integers(0, 3, size=(n, 2)).astype(float))
+        cache = cache_for(ds)
+        for k in range(1, 5):
+            a = solve_ekm(ds, SolverParams(k=k), cache=cache)
+            b = solve_exhaustive(ds, SolverParams(k=k), cache=cache)
+            assert a.objective.hex() == b.objective.hex()
+            assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
+            assert a.evaluated_configurations == math.comb(n, k)
 
 
 @settings(max_examples=25, deadline=None)

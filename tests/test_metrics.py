@@ -5,15 +5,20 @@ from hypothesis import strategies as st
 
 from ekmedoids import (
     Dataset,
+    DistanceOverflow,
     InvalidArguments,
     ShapeError,
+    SolverParams,
     UnknownMetric,
     assign,
     distance_cache,
     evaluate_objective,
     get_metric,
     list_metrics,
+    pam,
     register_metric,
+    solve_ekm,
+    solve_exhaustive,
     sq_euclidean,
     synthetic,
 )
@@ -195,3 +200,41 @@ def test_total_deviation_grouping_is_batch_invariant():
     whole = total_deviation(mins)
     split = np.concatenate([total_deviation(mins[:, :3]), total_deviation(mins[:, 3:])])
     assert np.array_equal(whole, split)
+
+
+# finite points whose squared distances overflow to inf
+OVERFLOW_POINTS = [1e200, 2e200, -1e200, 5.0]
+
+SOLVERS = {
+    "ekm": lambda ds, budget: solve_ekm(ds, SolverParams(k=2, cache_budget_bytes=budget)),
+    "oracle": lambda ds, budget: solve_exhaustive(
+        ds, SolverParams(k=2, cache_budget_bytes=budget)
+    ),
+    "pam": lambda ds, budget: pam(ds, 2, cache_budget_bytes=budget),
+}
+
+
+@pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_overflowing_distances_refused(solver, budget):
+    ds = Dataset(points=np.array(OVERFLOW_POINTS)[:, None])
+    with pytest.raises(DistanceOverflow):
+        SOLVERS[solver](ds, budget)
+
+
+@pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])
+def test_overflowing_objective_refused(budget):
+    # every distance is finite (1.44e308), but ten of them sum past the range
+    ds = Dataset(points=np.array([0.0, 1.2e154] * 10)[:, None])
+    assert np.isfinite(sq_euclidean([0.0], [1.2e154]))
+    with pytest.raises(DistanceOverflow):
+        SOLVERS["ekm"](ds, budget)
+
+
+def test_large_finite_distances_accepted():
+    ds = Dataset(points=np.array([0.0, 1e150, 3e150, 7e150])[:, None])
+    a = solve_ekm(ds, SolverParams(k=2))
+    b = solve_exhaustive(ds, SolverParams(k=2))
+    assert np.isfinite(a.objective)
+    assert a.objective == b.objective
+    assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
