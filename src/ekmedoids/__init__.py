@@ -4,7 +4,9 @@ The solver in `ekm` finds the provably optimal medoid set by folding
 evaluation and selection into the recursive combination generator, so
 every size-K configuration is scored but never stored.  `oracle` holds
 an independent brute-force check, `baselines` the classic approximate
-algorithms, and `bench` the scaling/comparison harness.
+algorithms, and `bench` the scaling/comparison harness and the one
+name-to-solver dispatch.  `problem` holds what every solver shares: the
+instance check, `SolverParams` and `Solution`.
 """
 
 from .baselines import BaselineParams, clarans, fasterpam, pam
@@ -19,7 +21,7 @@ from .bench import (
     write_scaling_csv,
 )
 from .dataset import Dataset, load_csv, save_csv, standardize, synthetic
-from .ekm import Solution, SolverParams, solve_ekm
+from .ekm import solve_ekm
 from .errors import (
     DisjointnessViolation,
     DistanceOverflow,
@@ -51,9 +53,9 @@ from .metrics import (
     get_metric,
     list_metrics,
     register_metric,
-    sq_euclidean,
 )
 from .oracle import solve_exhaustive
+from .problem import Solution, SolverParams
 
 __version__ = "0.1.0"
 
@@ -101,7 +103,6 @@ __all__ = [
     "scaling_summary",
     "solve_ekm",
     "solve_exhaustive",
-    "sq_euclidean",
     "standardize",
     "synthetic",
     "unrank_colex",

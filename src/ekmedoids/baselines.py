@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .ekm import Solution
-from .errors import EmptyDataset, InvalidArguments
+from .errors import InvalidArguments
 from .metrics import (
     DEFAULT_CACHE_BUDGET,
     DEFAULT_METRIC,
@@ -31,6 +30,7 @@ from .metrics import (
     evaluate_objective,
     get_metric,
 )
+from .problem import Solution, check_instance
 
 # candidate columns fetched per block in vectorized scans
 _BLOCK = 512
@@ -56,13 +56,6 @@ class BaselineParams:
         if self.clarans_maxneighbor is not None:
             return self.clarans_maxneighbor
         return max(250, math.ceil(0.0125 * k * (n - k)))
-
-
-def _check(ds: Dataset, k: int) -> None:
-    if ds.n == 0:
-        raise EmptyDataset("cannot cluster an empty dataset")
-    if k < 1 or k > ds.n:
-        raise InvalidArguments(f"need 1 <= K <= N, got K={k}, N={ds.n}")
 
 
 def _nearest_two(cols_med: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,7 +101,7 @@ def pam(
     and K.  `evaluated_configurations` counts candidate moves examined.
     """
     params = params or BaselineParams()
-    _check(ds, k)
+    check_instance(ds, k)
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
@@ -172,7 +165,7 @@ def fasterpam(
     """FasterPAM: seeded random init, then eager swaps where each candidate
     scan scores the removal of every medoid jointly in one O(N) pass."""
     params = params or BaselineParams()
-    _check(ds, k)
+    check_instance(ds, k)
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
@@ -240,7 +233,7 @@ def clarans(
     """CLARANS: randomized neighbor search with numlocal restarts and
     maxneighbor samples before declaring a local optimum."""
     params = params or BaselineParams()
-    _check(ds, k)
+    check_instance(ds, k)
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import BaselineParams, clarans, fasterpam, pam
 from .dataset import Dataset, load_csv, synthetic
-from .ekm import SolverParams, estimate_solver_bytes, solve_ekm
+from .ekm import solve_ekm
 from .errors import (
     ExactKMedoidsError,
     InstanceTooLarge,
@@ -30,12 +30,24 @@ from .errors import (
     InvalidArguments,
     RankOverflow,
 )
-from .metrics import DEFAULT_CACHE_BUDGET, DEFAULT_METRIC, distance_cache, get_metric
+from .metrics import DEFAULT_CACHE_BUDGET, DEFAULT_METRIC, DistanceCache, distance_cache, get_metric
 from .oracle import solve_exhaustive
+from .problem import DEFAULT_MEMORY_BUDGET, Solution, SolverParams
 
 SCALING_CSV_COLUMNS = ("k", "n", "rep", "seed", "wall_time_seconds", "evaluated_configurations")
 
-COMPARE_ALGORITHMS = ("ekm", "oracle", "pam", "fasterpam", "clarans")
+# every solver by name; the exact ones take SolverParams, the baselines K
+# and BaselineParams
+_SOLVERS = {
+    "ekm": solve_ekm,
+    "oracle": solve_exhaustive,
+    "pam": pam,
+    "fasterpam": fasterpam,
+    "clarans": clarans,
+}
+_EXACT = (solve_ekm, solve_exhaustive)
+
+COMPARE_ALGORITHMS = tuple(_SOLVERS)
 
 # dimensionality of the synthetic scaling datasets; slopes depend on N only
 _SCALING_DIM = 2
@@ -85,7 +97,7 @@ def run_scaling(
     seed: int = 0,
     metric_name: str = DEFAULT_METRIC,
     cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
-    memory_budget_bytes: Optional[int] = None,
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
 ) -> list[ScalingRecord]:
     """Time solve_ekm on fresh synthetic datasets for each (n, rep) pair.
 
@@ -103,23 +115,14 @@ def run_scaling(
         raise InvalidArguments("sizes must be ascending")
     if any(n < k for n in sizes):
         raise InvalidArguments("every size must be >= K")
-    params_kwargs = dict(k=k, metric=metric_name, cache_budget_bytes=cache_budget_bytes)
-    if memory_budget_bytes is not None:
-        params_kwargs["memory_budget_bytes"] = memory_budget_bytes
-    params = SolverParams(**params_kwargs)
+    params = SolverParams(k=k, metric=metric_name, cache_budget_bytes=cache_budget_bytes,
+                          memory_budget_bytes=memory_budget_bytes)
     metric = get_metric(metric_name)
     records: list[ScalingRecord] = []
     for n in sizes:
         for rep in range(reps):
             child = int(np.random.SeedSequence((seed, n, rep)).generate_state(1, dtype=np.uint64)[0])
             ds = synthetic(n, _SCALING_DIM, k, child)
-            estimate = estimate_solver_bytes(n, k)
-            if estimate > params.memory_budget_bytes:
-                warnings.warn(
-                    f"skipping n={n} k={k}: estimated {estimate} bytes exceeds budget",
-                    stacklevel=2,
-                )
-                continue
             t0 = time.perf_counter()
             cache = distance_cache(ds, metric, cache_budget_bytes)
             cache_build = time.perf_counter() - t0
@@ -206,23 +209,35 @@ def _as_dataset(item) -> tuple[str, Dataset]:
     return str(path), load_csv(path)
 
 
-def _run_algorithm(name, ds, k, seed, metric_name, cache, cache_budget_bytes):
-    if name == "ekm":
-        return solve_ekm(ds, SolverParams(k=k, metric=metric_name,
-                                          cache_budget_bytes=cache_budget_bytes), cache=cache)
-    if name == "oracle":
-        return solve_exhaustive(ds, SolverParams(k=k, metric=metric_name,
-                                                 cache_budget_bytes=cache_budget_bytes), cache=cache)
-    bparams = BaselineParams(seed=seed)
-    if name == "pam":
-        return pam(ds, k, bparams, cache=cache)
-    if name == "fasterpam":
-        return fasterpam(ds, k, bparams, cache=cache)
-    if name == "clarans":
-        return clarans(ds, k, bparams, cache=cache)
-    raise InvalidArguments(
-        f"unknown algorithm {name!r}; expected one of {', '.join(COMPARE_ALGORITHMS)}"
-    )
+def _check_algorithm(name: str) -> None:
+    if name not in _SOLVERS:
+        raise InvalidArguments(
+            f"unknown algorithm {name!r}; expected one of {', '.join(_SOLVERS)}"
+        )
+
+
+def run_algorithm(
+    name: str,
+    ds: Dataset,
+    k: int,
+    *,
+    metric_name: str = DEFAULT_METRIC,
+    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
+    baseline_params: Optional[BaselineParams] = None,
+    cache: Optional[DistanceCache] = None,
+) -> Solution:
+    """Run the solver registered under `name` on one instance.
+
+    Without a `cache` the solver builds its own inside its timed region,
+    so `wall_time_seconds` then includes the distance build.
+    """
+    _check_algorithm(name)
+    solver = _SOLVERS[name]
+    if solver in _EXACT:
+        params = SolverParams(k=k, metric=metric_name, cache_budget_bytes=cache_budget_bytes)
+        return solver(ds, params, cache=cache)
+    return solver(ds, k, baseline_params, cache=cache, metric_name=metric_name,
+                  cache_budget_bytes=cache_budget_bytes)
 
 
 def compare(
@@ -242,10 +257,8 @@ def compare(
     algorithm in the row is allowed to beat it.
     """
     for name in algorithms:
-        if name not in COMPARE_ALGORITHMS:
-            raise InvalidArguments(
-                f"unknown algorithm {name!r}; expected one of {', '.join(COMPARE_ALGORITHMS)}"
-            )
+        _check_algorithm(name)
+    bparams = BaselineParams(seed=seed)
     rows: list[CompareRow] = []
     for item in datasets:
         try:
@@ -258,7 +271,9 @@ def compare(
         results: dict[str, AlgoCell] = {}
         for alg in algorithms:
             try:
-                sol = _run_algorithm(alg, ds, k, seed, metric_name, cache, cache_budget_bytes)
+                sol = run_algorithm(alg, ds, k, metric_name=metric_name,
+                                    cache_budget_bytes=cache_budget_bytes,
+                                    baseline_params=bparams, cache=cache)
             except (InstanceTooLarge, RankOverflow) as exc:
                 warnings.warn(f"{alg} skipped on {name}: {exc}", stacklevel=2)
                 results[alg] = AlgoCell(error=str(exc))

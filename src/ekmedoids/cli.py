@@ -15,20 +15,19 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .baselines import BaselineParams, clarans, fasterpam, pam
+from .baselines import BaselineParams
 from .bench import (
     COMPARE_ALGORITHMS,
     compare,
     compare_rows_to_dicts,
+    run_algorithm,
     run_scaling,
     scaling_csv_text,
     scaling_summary,
 )
 from .dataset import load_csv, standardize
-from .ekm import SolverParams, solve_ekm
-from .errors import ExactKMedoidsError, InstanceTooLarge, RankOverflow
+from .errors import ExactKMedoidsError, InstanceTooLarge, InvalidArguments, RankOverflow
 from .metrics import DEFAULT_CACHE_BUDGET, list_metrics
-from .oracle import solve_exhaustive
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,28 +102,19 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
 
 
-def _load(args):
-    ds = load_csv(args.input, has_header=args.has_header, delimiter=args.delimiter)
+def _load(args, path):
+    ds = load_csv(path, has_header=args.has_header, delimiter=args.delimiter)
     if args.standardize:
         ds = standardize(ds)
     return ds
 
 
 def cmd_cluster(args) -> int:
-    ds = _load(args)
-    sparams = SolverParams(k=args.k, metric=args.metric,
-                           cache_budget_bytes=args.cache_budget)
-    if args.algorithm == "ekm":
-        sol = solve_ekm(ds, sparams)
-    elif args.algorithm == "oracle":
-        sol = solve_exhaustive(ds, sparams)
-    else:
-        bparams = BaselineParams(seed=args.seed, max_iter=args.max_iter,
-                                 clarans_numlocal=args.clarans_numlocal,
-                                 clarans_maxneighbor=args.clarans_maxneighbor)
-        fn = {"pam": pam, "fasterpam": fasterpam, "clarans": clarans}[args.algorithm]
-        sol = fn(ds, args.k, bparams, metric_name=args.metric,
-                 cache_budget_bytes=args.cache_budget)
+    ds = _load(args, args.input)
+    # no cache is passed, so wall_time_seconds includes the distance build
+    sol = run_algorithm(args.algorithm, ds, args.k, metric_name=args.metric,
+                        cache_budget_bytes=args.cache_budget,
+                        baseline_params=args.baseline_params)
     doc = {
         "algorithm": args.algorithm,
         "n": ds.n,
@@ -143,12 +133,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_compare(args) -> int:
     algorithms = args.algorithm_list
-    datasets = []
-    for path in args.input:
-        ds = load_csv(path, has_header=args.has_header, delimiter=args.delimiter)
-        if args.standardize:
-            ds = standardize(ds)
-        datasets.append((path, ds))
+    datasets = [(path, _load(args, path)) for path in args.input]
     rows = compare(datasets, args.k, algorithms=algorithms, seed=args.seed,
                    metric_name=args.metric, cache_budget_bytes=args.cache_budget)
     dicts = compare_rows_to_dicts(rows)
@@ -184,6 +169,14 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--k must be >= 1, got {args.k}")
     if len(getattr(args, "delimiter", ",")) != 1:
         parser.error("--delimiter must be a single character")
+    if args.subcommand == "cluster":
+        try:
+            args.baseline_params = BaselineParams(
+                seed=args.seed, max_iter=args.max_iter,
+                clarans_numlocal=args.clarans_numlocal,
+                clarans_maxneighbor=args.clarans_maxneighbor)
+        except InvalidArguments as exc:
+            parser.error(str(exc))
     if args.subcommand == "compare":
         algs = [a.strip() for a in args.algorithms.split(",") if a.strip()]
         if not algs:

@@ -8,190 +8,42 @@ streamed into one incumbent and never retained).  Only partial
 configurations of size < K are stored, so for fixed K the search over all
 C(N, K) medoid sets runs in O(N^{K+1}) time and O(N^{K-1} + N^2) space.
 
-Two implementations share these semantics: list-based `cross_join_eval` /
-`merge_eval`, which mirror the unfused operators one-to-one and exist for
-testing, and the array-based `solve_ekm`, which scores partial-major:
-step p creates the size K-1 partials that end at p; each one's row-min
-over the transposed distance matrix is built once and then scored
-against every later point q with one `minimum` and one contiguous
-length-N row sum, the same sum `total_deviation` takes, so objectives are
-bit-equal to `evaluate_batch`.  Steps whose work is small are batched
-into one scoring round.
+`solve_ekm` scores partial-major: step p creates the size K-1 partials
+that end at p; each one's row-min over the transposed distance matrix is
+built once and then scored against every later point q with one `minimum`
+and one contiguous length-N row sum, the same sum `total_deviation` takes,
+so objectives are bit-equal to `evaluate_batch`.  Steps whose work is
+small are batched into one scoring round.
 
-Tie rule: `solve_ekm` does not score configurations in colexicographic
-order, so its incumbent compares (objective, colex rank) and keeps the
-smaller pair; the list-based operators stream in colex order and keep the
-earlier of two tied configurations.  Either way the minimal-colex optimal
-medoid set is returned, deterministically.
+Tie rule: configurations are not scored in colexicographic order, so the
+incumbent compares (objective, colex rank) and keeps the smaller pair.
+The minimal-colex optimal medoid set is returned, deterministically.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, standardize
-from .errors import (
-    DisjointnessViolation,
-    DistanceOverflow,
-    EmptyDataset,
-    InstanceTooLarge,
-    InvalidArguments,
-    RankOverflow,
-)
-from .generator import Config
+from .dataset import Dataset
+from .errors import DistanceOverflow, InstanceTooLarge, RankOverflow
+from .generator import _INT64_MAX
 from .metrics import (
     _CHUNK_ELEMS,
-    DEFAULT_CACHE_BUDGET,
-    DEFAULT_METRIC,
     DistanceCache,
     assign,
     distance_cache,
-    evaluate_batch,
     evaluate_objective,
     get_metric,
     total_deviation,
 )
-
-_INT64_MAX = 2**63 - 1
-
-DEFAULT_MEMORY_BUDGET = 2**32  # 4 GiB
+from .problem import Solution, SolverParams, check_instance
 
 # floats of scoring work up to which consecutive steps share one batch
 _BATCH_ELEMS = 1 << 16
-
-
-@dataclass(frozen=True)
-class EvaluatedConfig:
-    """A configuration tupled with its objective; +inf marks a partial one."""
-
-    config: Config
-    objective: float
-
-
-@dataclass
-class Incumbent:
-    """Best complete configuration seen so far, plus the evaluation counter."""
-
-    best_config: Optional[Config] = None
-    best_objective: float = math.inf
-    evaluated_count: int = 0
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Solver knobs: cluster count, metric name, budgets, standardize flag."""
-
-    k: int
-    metric: str = DEFAULT_METRIC
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET
-    standardize: bool = False
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
-
-
-@dataclass
-class Solution:
-    """An exact or heuristic clustering result."""
-
-    medoid_indices: np.ndarray
-    objective: float
-    assignment: np.ndarray
-    wall_time_seconds: float
-    evaluated_configurations: int
-    # per-step retained level sizes, filled only when instrumentation is on
-    level_sizes: Optional[list[list[int]]] = field(default=None, repr=False)
-
-
-def select_into(incumbent: Incumbent, candidate: Config, value: float) -> Incumbent:
-    """Stream one evaluated complete configuration into the incumbent.
-
-    Replaces the incumbent only on a strictly smaller objective; an exact
-    tie keeps the earlier (lower colex rank) configuration.
-    """
-    incumbent.evaluated_count += 1
-    if value < incumbent.best_objective:
-        incumbent.best_objective = value
-        incumbent.best_config = tuple(candidate)
-    return incumbent
-
-
-def cross_join_eval(
-    l1: list[EvaluatedConfig],
-    l2: list[EvaluatedConfig],
-    k: int,
-    ds: Dataset,
-    cache: DistanceCache,
-    incumbent: Incumbent,
-) -> list[EvaluatedConfig]:
-    """Cross-join that scores size-k unions instead of retaining them.
-
-    Unions of size k are evaluated in a batch, streamed into the incumbent
-    in l1-major order, and dropped; smaller unions come back as partials
-    with the +inf sentinel.
-    """
-    partials: list[EvaluatedConfig] = []
-    complete: list[Config] = []
-    for e1 in l1:
-        for e2 in l2:
-            u = e1.config + e2.config
-            if len(set(u)) != len(u):
-                raise DisjointnessViolation(
-                    f"configs {e1.config} and {e2.config} share an index"
-                )
-            u = tuple(sorted(u))
-            if len(u) == k:
-                complete.append(u)
-            else:
-                partials.append(EvaluatedConfig(u, math.inf))
-    if complete:
-        values = evaluate_batch(ds, np.array(complete, dtype=np.int64), cache)
-        for cfg, val in zip(complete, values):
-            select_into(incumbent, cfg, float(val))
-    return partials
-
-
-def merge_eval(*args) -> list[list[EvaluatedConfig]]:
-    """Fused merge, pattern-matched like `generator.merge`.
-
-    merge_eval([], k, ds, cache, inc)   -> [[((), inf)]]
-    merge_eval([p], k, ds, cache, inc)  -> [[((), inf)], [((p,), inf)]]
-    merge_eval(la, lb, k, ds, cache, inc)
-        -> convolution over cross_join_eval, truncated at k; size-k level
-           is drained into the incumbent so only levels 0 .. k-1 return.
-
-    Base-case operand stores carry the inf sentinel even when k == 1; their
-    entries are scored once a join completes them.
-    """
-    if len(args) == 5:
-        a, k, ds, cache, incumbent = args
-        if a == []:
-            return [[EvaluatedConfig((), math.inf)]]
-        if isinstance(a, (list, tuple)) and len(a) == 1 and isinstance(a[0], int):
-            return [
-                [EvaluatedConfig((), math.inf)],
-                [EvaluatedConfig((a[0],), math.inf)],
-            ]
-        raise InvalidArguments(
-            f"base merge_eval takes [] or a singleton point, got {a!r}"
-        )
-    if len(args) == 6:
-        la, lb, k, ds, cache, incumbent = args
-        out: list[list[EvaluatedConfig]] = []
-        for t in range(k + 1):
-            level: list[EvaluatedConfig] = []
-            for i in range(t + 1):
-                j = t - i
-                if i < len(la) and j < len(lb):
-                    level.extend(
-                        cross_join_eval(la[i], lb[j], k, ds, cache, incumbent)
-                    )
-            out.append(level)
-        return out[:k]
-    raise InvalidArguments(f"merge_eval takes 5 or 6 arguments, got {len(args)}")
 
 
 def estimate_solver_bytes(n: int, k: int) -> int:
@@ -304,18 +156,6 @@ def _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
             yield values, q0, r0
 
 
-def _validate_instance(ds: Dataset, k: int) -> None:
-    if ds.n == 0:
-        raise EmptyDataset("cannot cluster an empty dataset")
-    if k < 1 or k > ds.n:
-        raise InvalidArguments(f"need 1 <= K <= N, got K={k}, N={ds.n}")
-    if math.comb(ds.n, k) > _INT64_MAX:
-        raise RankOverflow(
-            f"C({ds.n}, {k}) = {math.comb(ds.n, k)} exceeds the 64-bit "
-            f"configuration counter"
-        )
-
-
 def solve_ekm(
     ds: Dataset,
     params: SolverParams,
@@ -332,7 +172,12 @@ def solve_ekm(
     memory.
     """
     k = int(params.k)
-    _validate_instance(ds, k)
+    check_instance(ds, k)
+    if math.comb(ds.n, k) > _INT64_MAX:
+        raise RankOverflow(
+            f"C({ds.n}, {k}) = {math.comb(ds.n, k)} exceeds the 64-bit "
+            f"configuration counter"
+        )
     rounds, sizes = _plan(ds.n, k)
     estimate = _solver_bytes(ds.n, k, sizes)
     if estimate > params.memory_budget_bytes:
@@ -342,9 +187,6 @@ def solve_ekm(
             f"byte budget",
             estimate=estimate,
         )
-    if params.standardize:
-        ds = standardize(ds)
-        cache = None
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(params.metric), params.cache_budget_bytes)

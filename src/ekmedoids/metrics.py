@@ -116,11 +116,6 @@ register_metric("manhattan", pairwise=_cdist_pairwise("cityblock"))
 DEFAULT_METRIC = "sqeuclidean"
 
 
-def sq_euclidean(x, y) -> float:
-    """Squared Euclidean distance between two points (the default metric)."""
-    return get_metric("sqeuclidean")(x, y)
-
-
 def _check_finite(block: np.ndarray) -> np.ndarray:
     """Refuse distances from which an objective could overflow.
 
@@ -169,12 +164,6 @@ class DistanceCache:
         pts = self.dataset.points
         return _check_finite(self.metric.pairwise(pts, pts[idx]))
 
-    def value(self, i: int, j: int) -> float:
-        if self.mode == "precomputed":
-            return float(self.matrix[i, j])
-        pts = self.dataset.points
-        return float(self.metric.pairwise(pts[i : i + 1], pts[j : j + 1])[0, 0])
-
 
 def distance_cache(
     ds: Dataset, metric: Metric, budget_bytes: int = DEFAULT_CACHE_BUDGET
@@ -202,7 +191,7 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
 
     `configs` is an (m, k) integer array, one sorted configuration per row.
     Evaluation is chunked to bound scratch memory; chunking does not affect
-    the result bits.
+    the result bits.  An index outside [0, N) raises IndexError.
     """
     configs = np.asarray(configs, dtype=np.int64)
     if configs.ndim != 2:
@@ -211,6 +200,7 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     out = np.empty(m, dtype=np.float64)
     if m == 0:
         return out
+    _check_range(ds, configs)
     step = max(1, _CHUNK_ELEMS // max(1, ds.n * k))
     for lo in range(0, m, step):
         sub = configs[lo : lo + step]
@@ -220,12 +210,17 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     return out
 
 
+def _check_range(ds: Dataset, indices: np.ndarray) -> None:
+    # numpy would wrap a negative index to a valid point and score garbage
+    if indices.min() < 0 or indices.max() >= ds.n:
+        raise IndexError(f"medoid index out of range [0, {ds.n})")
+
+
 def _check_medoids(ds: Dataset, medoids) -> np.ndarray:
     med = np.asarray(medoids, dtype=np.int64).ravel()
     if med.size == 0:
         raise InvalidArguments("medoid list must be nonempty")
-    if np.any(med < 0) or np.any(med >= ds.n):
-        raise IndexError(f"medoid index out of range [0, {ds.n})")
+    _check_range(ds, med)
     if med.size > 1 and np.any(np.diff(med) <= 0):
         raise InvalidArguments("medoid indices must be strictly increasing")
     return med

@@ -4,8 +4,9 @@ This is the correctness oracle for the fused solver, so it deliberately
 shares nothing with the generator machinery: combinations are enumerated
 by the textbook lexicographic successor (the stdlib combinations iterator)
 and the colex tie rule is recomputed here from the closed formula rather
-than taken from the generator module.  Only the Dataset and metrics
-primitives are shared, which is what makes exact objective agreement
+than taken from the generator module.  Nor does it import the solver:
+only the Dataset, the metrics primitives and the shared problem
+definitions are shared, which is what makes exact objective agreement
 meaningful.
 """
 
@@ -18,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, standardize
-from .errors import EmptyDataset, InstanceTooLarge, InvalidArguments
+from .dataset import Dataset
+from .errors import InstanceTooLarge
 from .metrics import DistanceCache, assign, distance_cache, evaluate_batch, evaluate_objective, get_metric
-from .ekm import Solution, SolverParams
+from .problem import Solution, SolverParams, check_instance
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
 
@@ -42,10 +43,7 @@ def solve_exhaustive(
     refused.
     """
     k = int(params.k)
-    if ds.n == 0:
-        raise EmptyDataset("cannot cluster an empty dataset")
-    if k < 1 or k > ds.n:
-        raise InvalidArguments(f"need 1 <= K <= N, got K={k}, N={ds.n}")
+    check_instance(ds, k)
     total = math.comb(ds.n, k)
     if total > enumeration_limit:
         raise InstanceTooLarge(
@@ -53,9 +51,6 @@ def solve_exhaustive(
             f"{enumeration_limit}",
             estimate=total,
         )
-    if params.standardize:
-        ds = standardize(ds)
-        cache = None
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(params.metric), params.cache_budget_bytes)

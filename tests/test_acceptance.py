@@ -142,7 +142,7 @@ def test_a4_reference_objectives(name):
     rel = abs(sol.objective - expected) / expected
     if rel > 0.005:
         raw_rel = rel
-        sol = solve_ekm(ds, SolverParams(k=3, standardize=True))
+        sol = solve_ekm(standardize(ds), SolverParams(k=3))
         mode = "standardized"
         rel = abs(sol.objective - expected) / expected
         assert rel <= 0.005, (

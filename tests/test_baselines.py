@@ -15,6 +15,7 @@ from ekmedoids import (
     solve_ekm,
     synthetic,
 )
+from ekmedoids.bench import COMPARE_ALGORITHMS, run_algorithm
 from ekmedoids.dataset import Dataset
 
 ALL = (pam, fasterpam, clarans)
@@ -42,15 +43,16 @@ def test_k_equals_n_objective_zero(algo):
     assert sol.medoid_indices.tolist() == list(range(6))
 
 
-@pytest.mark.parametrize("algo", ALL)
-def test_argument_validation(algo):
+@pytest.mark.parametrize("name", COMPARE_ALGORITHMS)
+def test_argument_validation(name):
+    # every solver, exact or approximate, refuses the same instances
     ds = synthetic(5, 1, 1, seed=0)
     with pytest.raises(InvalidArguments):
-        algo(ds, 0)
+        run_algorithm(name, ds, 0)
     with pytest.raises(InvalidArguments):
-        algo(ds, 6)
+        run_algorithm(name, ds, 6)
     with pytest.raises(EmptyDataset):
-        algo(Dataset(points=np.empty((0, 1))), 1)
+        run_algorithm(name, Dataset(points=np.empty((0, 1))), 1)
 
 
 def test_pam_toy_reaches_optimum(toy):

@@ -81,6 +81,14 @@ def test_unknown_algorithm_exits_2(toy_csv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--max-iter", "--clarans-numlocal", "--clarans-maxneighbor"])
+def test_invalid_baseline_flag_exits_2(toy_csv, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["cluster", "--input", toy_csv, "--k", "2", "--algorithm", "pam", flag, "0"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+
+
 def test_missing_file_exits_3(capsys):
     code = run(["cluster", "--input", "/nonexistent/x.csv", "--k", "2"])
     assert code == 3

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ekmedoids import (
     Dataset,
-    DisjointnessViolation,
     EmptyDataset,
     InstanceTooLarge,
     InvalidArguments,
@@ -22,113 +21,72 @@ from ekmedoids import (
     synthetic,
 )
 from ekmedoids import ekm
-from ekmedoids.ekm import (
-    Incumbent,
-    cross_join_eval,
-    estimate_solver_bytes,
-    merge_eval,
-    select_into,
-)
+from ekmedoids.ekm import estimate_solver_bytes
+from ekmedoids.generator import conv, cross_join, merge
+from ekmedoids.metrics import evaluate_batch
 
 
 def cache_for(ds, name="sqeuclidean"):
     return distance_cache(ds, get_metric(name), 2**31)
 
 
-def solve_by_merge_eval(ds, k, cache):
-    """Reference driver over the list-based fused operators; returns the
-    incumbent after folding all points."""
-    inc = Incumbent()
-    acc = merge_eval([], k, ds, cache, inc)
+def solve_by_fused_merge(ds, k, cache):
+    """List-based fused reference built from the generator's operators.
+
+    Each cross-join scores its size-k unions in colex order into a
+    strict-< incumbent (so a tie keeps the earlier configuration) and
+    keeps only the smaller unions.  Returns (objective, medoids,
+    evaluated count, retained level store).
+    """
+    best_val, best_cfg, evaluated = math.inf, None, 0
+
+    def join(l1, l2):
+        nonlocal best_val, best_cfg, evaluated
+        unions = cross_join(l1, l2)
+        complete = [u for u in unions if len(u) == k]
+        if complete:
+            values = evaluate_batch(ds, np.array(complete, dtype=np.int64), cache)
+            for cfg, val in zip(complete, values):
+                evaluated += 1
+                if val < best_val:
+                    best_val, best_cfg = float(val), cfg
+        return [u for u in unions if len(u) < k]
+
+    acc = merge([], k)
     for p in range(ds.n):
-        acc = merge_eval(merge_eval([p], k, ds, cache, inc), acc, k, ds, cache, inc)
-    return inc, acc
-
-
-def test_select_into_adopts_first_candidate():
-    inc = Incumbent()
-    select_into(inc, (0, 1), 5.0)
-    assert inc.best_config == (0, 1)
-    assert inc.best_objective == 5.0
-    assert inc.evaluated_count == 1
-
-
-def test_select_into_keeps_earlier_on_tie():
-    inc = Incumbent()
-    select_into(inc, (1, 3), 3.0)
-    select_into(inc, (1, 4), 3.0)
-    assert inc.best_config == (1, 3)
-    assert inc.evaluated_count == 2
-
-
-def test_cross_join_eval_completion_case(toy):
-    # joining sizes 1 and k-1 completes every union: all evaluated, none kept
-    cache = cache_for(toy)
-    inc = Incumbent()
-    out = cross_join_eval(
-        [_ec((1,))], [_ec((3,))], 2, toy, cache, inc
-    )
-    assert out == []
-    assert inc.evaluated_count == 1
-    assert inc.best_objective == 3.0
-    assert inc.best_config == (1, 3)
-
-
-def test_cross_join_eval_unit_case(toy):
-    cache = cache_for(toy)
-    inc = Incumbent()
-    l1 = [_ec((0,)), _ec((2,))]
-    out = cross_join_eval(l1, [_ec(())], 3, toy, cache, inc)
-    assert [e.config for e in out] == [(0,), (2,)]
-    assert inc.evaluated_count == 0
-
-
-def test_cross_join_eval_rejects_overlap(toy):
-    cache = cache_for(toy)
-    with pytest.raises(DisjointnessViolation):
-        cross_join_eval([_ec((1, 2))], [_ec((2,))], 3, toy, cache, Incumbent())
-
-
-def _ec(cfg):
-    from ekmedoids.ekm import EvaluatedConfig
-
-    return EvaluatedConfig(cfg, math.inf)
-
-
-def test_merge_eval_base_cases(toy):
-    cache = cache_for(toy)
-    inc = Incumbent()
-    base = merge_eval([], 2, toy, cache, inc)
-    assert [[e.config for e in lvl] for lvl in base] == [[()]]
-    single = merge_eval([4], 2, toy, cache, inc)
-    assert [[e.config for e in lvl] for lvl in single] == [[()], [(4,)]]
-    assert all(e.objective == math.inf for lvl in single for e in lvl)
+        acc = conv(join, merge([p], k), acc, k)[:k]
+    return best_val, best_cfg, evaluated, acc
 
 
 def test_merge_eval_drains_complete_level(toy):
     cache = cache_for(toy)
-    inc, acc = solve_by_merge_eval(toy, 2, cache)
+    best_val, best_cfg, evaluated, acc = solve_by_fused_merge(toy, 2, cache)
     # retained store holds sizes 0..K-1 only, with binomial level sizes
     assert len(acc) == 2
     assert [len(lvl) for lvl in acc] == [1, 5]
-    assert all(len(e.config) < 2 for lvl in acc for e in lvl)
-    assert inc.evaluated_count == math.comb(5, 2)
-    assert inc.best_config == (1, 3)
-    assert inc.best_objective == 3.0
+    assert all(len(cfg) < 2 for lvl in acc for cfg in lvl)
+    assert evaluated == math.comb(5, 2)
+    assert best_cfg == (1, 3)
+    assert best_val == 3.0
 
 
 def test_merge_eval_matches_solver_on_random_instances():
+    # half synthetic mixtures, half integer grids with many exact ties
     rng = np.random.default_rng(77)
-    for _ in range(10):
-        n = int(rng.integers(6, 13))
-        k = int(rng.integers(1, 4))
-        ds = synthetic(n, 2, min(k, n), int(rng.integers(2**32)))
+    for i in range(20):
+        n = int(rng.integers(5, 13))
+        k = int(rng.integers(1, 5))
+        if i % 2:
+            ds = Dataset(points=rng.integers(0, 3, size=(n, 2)).astype(float))
+        else:
+            ds = synthetic(n, 2, min(k, n), int(rng.integers(2**32)))
         cache = cache_for(ds)
-        inc, _ = solve_by_merge_eval(ds, k, cache)
+        best_val, best_cfg, evaluated, acc = solve_by_fused_merge(ds, k, cache)
         sol = solve_ekm(ds, SolverParams(k=k), cache=cache)
-        assert inc.best_objective == sol.objective
-        assert inc.best_config == tuple(sol.medoid_indices)
-        assert inc.evaluated_count == sol.evaluated_configurations
+        assert best_val.hex() == sol.objective.hex()
+        assert best_cfg == tuple(sol.medoid_indices)
+        assert evaluated == sol.evaluated_configurations
+        assert [len(lvl) for lvl in acc] == [math.comb(n, j) for j in range(k)]
 
 
 def test_solve_toy(toy):
@@ -214,16 +172,6 @@ def test_monotone_in_k():
         solve_ekm(ds, SolverParams(k=k), cache=cache).objective for k in range(1, 6)
     ]
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
-
-
-def test_standardize_param():
-    ds = synthetic(10, 2, 2, seed=17)
-    from ekmedoids import standardize
-
-    direct = solve_ekm(standardize(ds), SolverParams(k=2))
-    flagged = solve_ekm(ds, SolverParams(k=2, standardize=True))
-    assert flagged.objective == direct.objective
-    assert np.array_equal(flagged.medoid_indices, direct.medoid_indices)
 
 
 def test_validation_errors():

@@ -19,7 +19,6 @@ from ekmedoids import (
     register_metric,
     solve_ekm,
     solve_exhaustive,
-    sq_euclidean,
     synthetic,
 )
 from ekmedoids.metrics import evaluate_batch, total_deviation
@@ -27,6 +26,9 @@ from ekmedoids.metrics import evaluate_batch, total_deviation
 
 def cache_for(ds, name="sqeuclidean", budget=2**31):
     return distance_cache(ds, get_metric(name), budget)
+
+
+sq_euclidean = get_metric("sqeuclidean")
 
 
 def test_sq_euclidean_examples():
@@ -106,8 +108,8 @@ def test_cache_lookup_equals_direct_metric():
     for _ in range(100):
         i, j = rng.integers(0, ds.n, size=2)
         direct = m(ds.points[i], ds.points[j])
-        assert pre.value(i, j) == direct
-        assert fly.value(i, j) == direct
+        assert pre.columns([j])[i, 0] == direct
+        assert fly.columns([j])[i, 0] == direct
 
 
 def test_cache_modes_agree_bit_exactly():
@@ -191,6 +193,14 @@ def test_evaluate_batch_matches_objective():
     got = evaluate_batch(ds, configs, c)
     want = [evaluate_objective(ds, cfg, c) for cfg in configs]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])
+@pytest.mark.parametrize("configs", [[[-1, 0]], [[0, 5]]], ids=["negative", "past-end"])
+def test_evaluate_batch_rejects_out_of_range(toy, budget, configs):
+    # a negative index must not wrap around to a valid point
+    with pytest.raises(IndexError, match=r"out of range \[0, 5\)"):
+        evaluate_batch(toy, configs, cache_for(toy, budget=budget))
 
 
 def test_total_deviation_grouping_is_batch_invariant():
