@@ -32,7 +32,7 @@ from .metrics import (
 )
 from .problem import Solution, check_instance
 
-# candidate columns fetched per block in vectorized scans
+# candidate distance rows fetched per block in vectorized scans
 _BLOCK = 512
 
 
@@ -58,19 +58,19 @@ class BaselineParams:
         return max(250, math.ceil(0.0125 * k * (n - k)))
 
 
-def _nearest_two(cols_med: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per point: position of nearest medoid, its distance, and the
-    second-nearest distance (inf when K == 1)."""
-    n, k = cols_med.shape
-    nearest = np.argmin(cols_med, axis=1)
-    rows = np.arange(n)
-    ds1 = cols_med[rows, nearest]
+def _nearest_two(rows_med: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point, from the medoids' (K, N) distance rows: position of nearest
+    medoid, its distance, and the second-nearest distance (inf when K == 1)."""
+    k, n = rows_med.shape
+    nearest = np.argmin(rows_med, axis=0)
+    points = np.arange(n)
+    ds1 = rows_med[nearest, points]
     if k == 1:
         ds2 = np.full(n, np.inf)
     else:
-        masked = cols_med.copy()
-        masked[rows, nearest] = np.inf
-        ds2 = masked.min(axis=1)
+        masked = rows_med.copy()
+        masked[nearest, points] = np.inf
+        ds2 = masked.min(axis=0)
     return nearest, ds1, ds2
 
 
@@ -101,7 +101,7 @@ def pam(
     and K.  `evaluated_configurations` counts candidate moves examined.
     """
     params = params or BaselineParams()
-    check_instance(ds, k)
+    k = check_instance(ds, k)
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
@@ -113,7 +113,7 @@ def pam(
     totals = np.empty(n)
     for lo in range(0, n, _BLOCK):
         idx = np.arange(lo, min(lo + _BLOCK, n))
-        totals[idx] = cache.columns(idx).sum(axis=0)
+        totals[idx] = cache.columns(idx).sum(axis=1)
     evaluated += n
     medoids = [int(np.argmin(totals))]
     mindist = cache.columns([medoids[0]]).ravel().copy()
@@ -121,8 +121,8 @@ def pam(
         gains = np.full(n, -np.inf)
         for lo in range(0, n, _BLOCK):
             idx = np.arange(lo, min(lo + _BLOCK, n))
-            cols = cache.columns(idx)
-            gains[idx] = np.maximum(0.0, mindist[:, None] - cols).sum(axis=0)
+            rows = cache.columns(idx)
+            gains[idx] = np.maximum(0.0, mindist[None] - rows).sum(axis=1)
         gains[medoids] = -np.inf
         nxt = int(np.argmax(gains))
         evaluated += n - len(medoids)
@@ -134,15 +134,14 @@ def pam(
     med = np.array(medoids, dtype=np.int64)
     total = evaluate_objective(ds, np.sort(med), cache)
     for _ in range(params.max_iter):
-        cols_med = cache.columns(med)
-        nearest, ds1, ds2 = _nearest_two(cols_med)
+        nearest, ds1, ds2 = _nearest_two(cache.columns(med))
         delta = np.full((k, n), np.inf)
         for i in range(k):
             base = np.where(nearest == i, ds2, ds1)
             for lo in range(0, n, _BLOCK):
                 idx = np.arange(lo, min(lo + _BLOCK, n))
-                cols = cache.columns(idx)
-                delta[i, idx] = np.minimum(base[:, None], cols).sum(axis=0) - total
+                rows = cache.columns(idx)
+                delta[i, idx] = np.minimum(base[None], rows).sum(axis=1) - total
         delta[:, med] = np.inf
         evaluated += k * (n - k)
         flat = int(np.argmin(delta))
@@ -165,7 +164,7 @@ def fasterpam(
     """FasterPAM: seeded random init, then eager swaps where each candidate
     scan scores the removal of every medoid jointly in one O(N) pass."""
     params = params or BaselineParams()
-    check_instance(ds, k)
+    k = check_instance(ds, k)
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
@@ -176,8 +175,7 @@ def fasterpam(
     evaluated = 0
 
     def refresh():
-        cols_med = cache.columns(med)
-        nearest, ds1, ds2 = _nearest_two(cols_med)
+        nearest, ds1, ds2 = _nearest_two(cache.columns(med))
         if k == 1:
             removal = None
         else:
@@ -233,7 +231,7 @@ def clarans(
     """CLARANS: randomized neighbor search with numlocal restarts and
     maxneighbor samples before declaring a local optimum."""
     params = params or BaselineParams()
-    check_instance(ds, k)
+    k = check_instance(ds, k)
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
@@ -247,8 +245,7 @@ def clarans(
         med = rng.choice(n, size=k, replace=False).astype(np.int64)
         member = set(int(m) for m in med)
         total = evaluate_objective(ds, np.sort(med), cache)
-        cols_med = cache.columns(med)
-        nearest, ds1, ds2 = _nearest_two(cols_med)
+        nearest, ds1, ds2 = _nearest_two(cache.columns(med))
         tries = 0
         while tries < maxneighbor:
             i = int(rng.integers(k))
@@ -265,8 +262,7 @@ def clarans(
                 member.add(h)
                 med[i] = h
                 total = evaluate_objective(ds, np.sort(med), cache)
-                cols_med = cache.columns(med)
-                nearest, ds1, ds2 = _nearest_two(cols_med)
+                nearest, ds1, ds2 = _nearest_two(cache.columns(med))
                 tries = 0
             else:
                 tries += 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import BaselineParams, clarans, fasterpam, pam
 from .dataset import Dataset, load_csv, synthetic
-from .ekm import solve_ekm
+from .ekm import check_solvable, solve_ekm
 from .errors import (
     ExactKMedoidsError,
     InstanceTooLarge,
@@ -123,14 +123,15 @@ def run_scaling(
         for rep in range(reps):
             child = int(np.random.SeedSequence((seed, n, rep)).generate_state(1, dtype=np.uint64)[0])
             ds = synthetic(n, _SCALING_DIM, k, child)
-            t0 = time.perf_counter()
-            cache = distance_cache(ds, metric, cache_budget_bytes)
-            cache_build = time.perf_counter() - t0
             try:
-                sol = solve_ekm(ds, params, cache=cache)
+                check_solvable(ds, params)
             except (InstanceTooLarge, RankOverflow) as exc:
                 warnings.warn(f"skipping n={n} k={k}: {exc}", stacklevel=2)
                 continue
+            t0 = time.perf_counter()
+            cache = distance_cache(ds, metric, cache_budget_bytes)
+            cache_build = time.perf_counter() - t0
+            sol = solve_ekm(ds, params, cache=cache)
             records.append(
                 ScalingRecord(
                     k=k,

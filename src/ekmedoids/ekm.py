@@ -9,11 +9,11 @@ configurations of size < K are stored, so for fixed K the search over all
 C(N, K) medoid sets runs in O(N^{K+1}) time and O(N^{K-1} + N^2) space.
 
 `solve_ekm` scores partial-major: step p creates the size K-1 partials
-that end at p; each one's row-min over the transposed distance matrix is
-built once and then scored against every later point q with one `minimum`
-and one contiguous length-N row sum, the same sum `total_deviation` takes,
-so objectives are bit-equal to `evaluate_batch`.  Steps whose work is
-small are batched into one scoring round.
+that end at p; each one's row-min over the cache's medoid-major distance
+matrix is built once and then scored against every later point q with one
+`minimum` and one contiguous length-N row sum, the same sum
+`evaluate_batch` takes, so objectives are bit-equal to it.  Steps whose
+work is small are batched into one scoring round.
 
 Tie rule: configurations are not scored in colexicographic order, so the
 incumbent compares (objective, colex rank) and keeps the smaller pair.
@@ -38,7 +38,6 @@ from .metrics import (
     distance_cache,
     evaluate_objective,
     get_metric,
-    total_deviation,
 )
 from .problem import Solution, SolverParams, check_instance
 
@@ -50,8 +49,8 @@ def estimate_solver_bytes(n: int, k: int) -> int:
     """Upper estimate of solver-owned memory for an (n, k) instance.
 
     Counts the level stores of partials of sizes 1 .. k-1 and, for K >= 2,
-    the transposed distance matrix plus the scoring scratch; K = 1 scores
-    one distance column at a time.
+    the N x N distance matrix scoring reads plus the scoring scratch; K = 1
+    scores one distance row at a time.
     """
     return _solver_bytes(n, k, _plan(n, k)[1])
 
@@ -104,29 +103,15 @@ def _plan(n: int, k: int) -> tuple[dict, tuple[int, ...]]:
     return rounds, (block, rows, rows if k > 2 else 0)
 
 
-def _transposed(cache: DistanceCache, n: int) -> np.ndarray:
-    """The contiguous transpose `dt` of the distance matrix: dt[q] = d(., q).
-
-    Gathered through `cache.columns` in blocks of at most `_CHUNK_ELEMS`
-    floats, so precomputed and on-the-fly caches are read the same way.
-    """
-    dt = np.empty((n, n), dtype=np.float64)
-    step = max(1, _CHUNK_ELEMS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        dt[lo:hi] = cache.columns(np.arange(lo, hi)).T
-    return dt
-
-
 def _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
     """Score the partials store[lo:hi], created at steps p0 and later,
     against every point q > p0.
 
     Yields (values, q0, r0) blocks in which values[i, j] is the objective
     of store[r0 + j] extended by q0 + i, or +inf where q0 + i is not above
-    the partial's last point.  A partial's row-min over `dt` is built once
-    per block and each objective is the sum of one contiguous length-N
-    row, so values are bit-equal to `total_deviation`'s.
+    the partial's last point.  A partial's row-min over the medoid-major
+    matrix `dt` is built once per block and each objective is the sum of
+    one contiguous length-N row, so values are bit-equal to `evaluate_batch`'s.
     """
     n = dt.shape[0]
     block_buf, rowmin_buf, gather_buf = buffers
@@ -156,6 +141,27 @@ def _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
             yield values, q0, r0
 
 
+def check_solvable(ds: Dataset, params: SolverParams) -> tuple[int, dict, tuple[int, ...]]:
+    """Make every refusal of `solve_ekm` (the instance, `RankOverflow`, the
+    memory budget) before any distance is computed; return K and the plan."""
+    k = check_instance(ds, params.k)
+    if math.comb(ds.n, k) > _INT64_MAX:
+        raise RankOverflow(
+            f"C({ds.n}, {k}) = {math.comb(ds.n, k)} exceeds the 64-bit "
+            f"configuration counter"
+        )
+    rounds, sizes = _plan(ds.n, k)
+    estimate = _solver_bytes(ds.n, k, sizes)
+    if estimate > params.memory_budget_bytes:
+        raise InstanceTooLarge(
+            f"estimated {estimate} bytes of solver memory "
+            f"for N={ds.n}, K={k} exceeds the {params.memory_budget_bytes} "
+            f"byte budget",
+            estimate=estimate,
+        )
+    return k, rounds, sizes
+
+
 def solve_ekm(
     ds: Dataset,
     params: SolverParams,
@@ -171,22 +177,7 @@ def solve_ekm(
     exceed the memory budget, reporting the estimate instead of exhausting
     memory.
     """
-    k = int(params.k)
-    check_instance(ds, k)
-    if math.comb(ds.n, k) > _INT64_MAX:
-        raise RankOverflow(
-            f"C({ds.n}, {k}) = {math.comb(ds.n, k)} exceeds the 64-bit "
-            f"configuration counter"
-        )
-    rounds, sizes = _plan(ds.n, k)
-    estimate = _solver_bytes(ds.n, k, sizes)
-    if estimate > params.memory_budget_bytes:
-        raise InstanceTooLarge(
-            f"estimated {estimate} bytes of solver memory "
-            f"for N={ds.n}, K={k} exceeds the {params.memory_budget_bytes} "
-            f"byte budget",
-            estimate=estimate,
-        )
+    k, rounds, sizes = check_solvable(ds, params)
     t0 = time.perf_counter()
     if cache is None:
         cache = distance_cache(ds, get_metric(params.metric), params.cache_budget_bytes)
@@ -198,7 +189,10 @@ def solve_ekm(
     counts = [1] + [0] * (k - 1)
     store = arrays[k - 1]
     if k > 1:
-        dt = _transposed(cache, n)
+        # scoring reads whole rows, so an on-the-fly cache is precomputed here
+        if cache.matrix is None:
+            cache = distance_cache(ds, cache.metric, 8 * n * n)
+        dt = cache.matrix
         # one scratch allocation per solve, split into the three buffers
         buffers = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
     # the incumbent orders by (objective, colex rank); every objective is
@@ -223,8 +217,7 @@ def solve_ekm(
         if level_log is not None:
             level_log.append(list(counts))
         if k == 1:
-            column = cache.columns(np.array([p], dtype=np.int64))
-            blocks = [(total_deviation(column)[None], p, 0)]
+            blocks = [(np.add.reduce(cache.columns([p]), axis=1)[None], p, 0)]
             evaluated += 1
         elif p in rounds:
             lo, hi, p0, qb, mb = rounds[p]

@@ -1,12 +1,12 @@
 """Distance metrics, the pairwise distance cache, and objective evaluation.
 
 The clustering objective (total deviation) of a medoid set is the sum over
-all points of the distance to their nearest medoid.  Every code path in the
-package that needs an objective value funnels through :func:`evaluate_batch`
+all points of the distance to their nearest medoid: a min over K rows of
+the medoid-major distance matrix (see `DistanceCache`), then one row sum.
+Every code path that needs an objective funnels through :func:`evaluate_batch`
 or helpers that reproduce its arithmetic exactly, so cached and uncached
 evaluation, the fused solver, and the exhaustive oracle all agree
-bit-for-bit.  Ties between medoid sets can therefore be broken by exact
-float equality.
+bit-for-bit; ties between medoid sets can be broken by float equality.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ DEFAULT_CACHE_BUDGET = 2**31  # 2 GiB
 
 # floats per evaluation scratch buffer; bounds peak memory of batch evaluation
 _CHUNK_ELEMS = 1 << 23
+
+# floats per block of the matrix build; small blocks keep each transpose in cache
+_BUILD_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,8 @@ DEFAULT_METRIC = "sqeuclidean"
 def _check_finite(block: np.ndarray) -> np.ndarray:
     """Refuse distances from which an objective could overflow.
 
-    An objective is at most the sum of one distance column, and twice the
-    block total bounds every column sum with rounding included, so a finite
+    An objective is at most the sum of one medoid's distance row, and twice
+    the block total bounds every row sum with rounding included, so a finite
     doubled total keeps every objective built from this block finite.  NaN
     and infinite distances fail the same test.
     """
@@ -138,6 +141,8 @@ def _check_finite(block: np.ndarray) -> np.ndarray:
 class DistanceCache:
     """Pairwise distances, precomputed when they fit the byte budget.
 
+    A precomputed `matrix` is medoid-major, `matrix[j, i] = d(x_i, x_j)`:
+    row j holds every point's distance to candidate medoid j, contiguously.
     Lookups return identical values in either mode; `columns` is the bulk
     access path used by all solvers.  Distances are checked where they are
     made (the precomputed matrix once, on-the-fly blocks as produced), so
@@ -154,36 +159,32 @@ class DistanceCache:
             _check_finite(self.matrix)
 
     def columns(self, indices) -> np.ndarray:
-        """Distance matrix slice d(x_i, x_j) for all points i, j in `indices`.
-
-        Returns a float64 C-contiguous (N, len(indices)) array.
-        """
+        """Rows d(., x_j) for j in `indices`: the distance-matrix columns,
+        as a float64 C-contiguous (len(indices), N) array."""
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if self.mode == "precomputed":
-            return self.matrix[:, idx]
+            return self.matrix[idx]
         pts = self.dataset.points
-        return _check_finite(self.metric.pairwise(pts, pts[idx]))
+        block = self.metric.pairwise(pts, pts[idx])
+        return _check_finite(np.ascontiguousarray(block.T))
 
 
 def distance_cache(
     ds: Dataset, metric: Metric, budget_bytes: int = DEFAULT_CACHE_BUDGET
 ) -> DistanceCache:
-    """Build a distance cache, precomputing the N x N matrix iff 8*N^2 <= budget."""
-    if 8 * ds.n * ds.n <= budget_bytes:
-        mat = metric.pairwise(ds.points, ds.points)
-        return DistanceCache(ds, metric, "precomputed", mat)
-    return DistanceCache(ds, metric, "on-the-fly")
+    """Build a distance cache, precomputing the N x N matrix iff 8*N^2 <= budget.
 
-
-def total_deviation(mins: np.ndarray) -> np.ndarray:
-    """Sum per-configuration min-distances over all points, deterministically.
-
-    `mins` is (N, m): entry [n, c] is the distance from point n to the
-    nearest medoid of configuration c.  Each configuration is reduced as a
-    contiguous length-N vector, so the summation order is fixed no matter
-    how or where the mins were produced.
+    Each row block is `pairwise(points, medoids)` transposed: no metric is
+    assumed symmetric.
     """
-    return np.ascontiguousarray(mins.T).sum(axis=1)
+    n, pts = ds.n, ds.points
+    if 8 * n * n > budget_bytes:
+        return DistanceCache(ds, metric, "on-the-fly")
+    mat = np.empty((n, n))
+    step = max(1, _BUILD_ELEMS // max(1, n))
+    for lo in range(0, n, step):
+        mat[lo : lo + step] = metric.pairwise(pts, pts[lo : lo + step]).T
+    return DistanceCache(ds, metric, "precomputed", mat)
 
 
 def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
@@ -204,13 +205,14 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     step = max(1, _CHUNK_ELEMS // max(1, ds.n * k))
     for lo in range(0, m, step):
         sub = configs[lo : lo + step]
-        cols = cache.columns(sub.ravel())
-        mins = cols.reshape(ds.n, sub.shape[0], k).min(axis=2)
-        out[lo : lo + sub.shape[0]] = total_deviation(mins)
+        rows = cache.columns(sub.ravel()).reshape(sub.shape[0], k, ds.n)
+        out[lo : lo + sub.shape[0]] = rows.min(axis=1).sum(axis=1)
     return out
 
 
 def _check_range(ds: Dataset, indices: np.ndarray) -> None:
+    if indices.size == 0:
+        raise InvalidArguments("medoid list must be nonempty")
     # numpy would wrap a negative index to a valid point and score garbage
     if indices.min() < 0 or indices.max() >= ds.n:
         raise IndexError(f"medoid index out of range [0, {ds.n})")
@@ -218,8 +220,6 @@ def _check_range(ds: Dataset, indices: np.ndarray) -> None:
 
 def _check_medoids(ds: Dataset, medoids) -> np.ndarray:
     med = np.asarray(medoids, dtype=np.int64).ravel()
-    if med.size == 0:
-        raise InvalidArguments("medoid list must be nonempty")
     _check_range(ds, med)
     if med.size > 1 and np.any(np.diff(med) <= 0):
         raise InvalidArguments("medoid indices must be strictly increasing")
@@ -239,5 +239,4 @@ def assign(ds: Dataset, medoids, cache: DistanceCache) -> np.ndarray:
     smallest medoid index.
     """
     med = _check_medoids(ds, medoids)
-    cols = cache.columns(med)
-    return np.argmin(cols, axis=1)
+    return np.argmin(cache.columns(med), axis=0)

@@ -42,8 +42,7 @@ def solve_exhaustive(
     instance.  Instances with C(N, K) beyond the enumeration limit are
     refused.
     """
-    k = int(params.k)
-    check_instance(ds, k)
+    k = check_instance(ds, params.k)
     total = math.comb(ds.n, k)
     if total > enumeration_limit:
         raise InstanceTooLarge(

@@ -6,6 +6,7 @@ none of them needs another solver's module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,9 +42,14 @@ class Solution:
     level_sizes: Optional[list[list[int]]] = field(default=None, repr=False)
 
 
-def check_instance(ds: Dataset, k: int) -> None:
-    """Refuse an empty dataset and any K outside 1 .. N."""
+def check_instance(ds: Dataset, k) -> int:
+    """Refuse an empty dataset and any K but an integer in 1 .. N; return K."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidArguments(f"K must be an integer, got {k!r}") from None
     if ds.n == 0:
         raise EmptyDataset("cannot cluster an empty dataset")
     if k < 1 or k > ds.n:
         raise InvalidArguments(f"need 1 <= K <= N, got K={k}, N={ds.n}")
+    return k

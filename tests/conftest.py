@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ekmedoids import Dataset, synthetic
+from ekmedoids import Dataset, register_metric, synthetic
 
 # a 5-point line with two obvious clusters: optimal K=2 medoids are
 # {1, 3} at objective 3, tied with {1, 4} and won on colex rank
@@ -11,6 +11,18 @@ TOY_POINTS = [0.0, 1.0, 2.0, 10.0, 11.0]
 @pytest.fixture
 def toy() -> Dataset:
     return Dataset(points=np.array(TOY_POINTS)[:, None], source="toy")
+
+
+def _asymmetric(X, Y):
+    # |x - y|_1 + 3 max(0, y_0 - x_0): d(x, y) != d(y, x) whenever x_0 != y_0,
+    # so a distance table read the wrong way round changes results
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    l1 = np.abs(X[:, None, :] - Y[None, :, :]).sum(axis=2)
+    return l1 + 3.0 * np.maximum(0.0, Y[None, :, 0] - X[:, None, 0])
+
+
+register_metric("asymmetric", pairwise=_asymmetric)
 
 
 def instance_corpus(count: int, seed: int = 8128, n_range=(8, 41),

@@ -47,10 +47,9 @@ def test_k_equals_n_objective_zero(algo):
 def test_argument_validation(name):
     # every solver, exact or approximate, refuses the same instances
     ds = synthetic(5, 1, 1, seed=0)
-    with pytest.raises(InvalidArguments):
-        run_algorithm(name, ds, 0)
-    with pytest.raises(InvalidArguments):
-        run_algorithm(name, ds, 6)
+    for k in (0, 6, 2.7, "2"):
+        with pytest.raises(InvalidArguments):
+            run_algorithm(name, ds, k)
     with pytest.raises(EmptyDataset):
         run_algorithm(name, Dataset(points=np.empty((0, 1))), 1)
 

@@ -13,6 +13,7 @@ from ekmedoids import (
     synthetic,
     write_scaling_csv,
 )
+from ekmedoids import bench
 from ekmedoids.bench import ScalingRecord, compare_rows_to_dicts, scaling_csv_text
 
 
@@ -56,10 +57,14 @@ def test_run_scaling_validates():
         run_scaling(3, [2, 10], reps=1, seed=0)  # size < k
 
 
-def test_run_scaling_skips_infeasible_with_warning():
+def test_run_scaling_skips_infeasible_with_warning(monkeypatch):
+    # a refused instance is refused before its distance cache is built
+    builds = []
+    monkeypatch.setattr(bench, "distance_cache", lambda *a: builds.append(a))
     with pytest.warns(UserWarning):
         records = run_scaling(2, [10, 12], reps=1, seed=0, memory_budget_bytes=16)
     assert records == []
+    assert builds == []
 
 
 def test_fit_slope_exact_cubic():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ def test_memory_estimate_counts_transpose_only_for_k_above_one():
     n = 4000
     assert estimate_solver_bytes(n, 1) < 8 * n * n
     assert estimate_solver_bytes(n, 2) >= 8 * n * n + 8 * math.comb(n, 1)
+
+
+def test_prebuilt_matrix_is_not_copied():
+    # scoring reads a precomputed cache's matrix in place: beyond the
+    # planned scratch the solve allocates far less than one N x N matrix
+    n, k = 800, 2
+    ds = synthetic(n, 2, 2, seed=0)
+    cache = cache_for(ds)
+    tracemalloc.start()
+    try:
+        solve_ekm(ds, SolverParams(k=k), cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * sum(ekm._plan(n, k)[1]) < 4 * n * n
 
 
 @pytest.mark.parametrize(

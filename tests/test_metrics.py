@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from ekmedoids import (
     solve_exhaustive,
     synthetic,
 )
-from ekmedoids.metrics import evaluate_batch, total_deviation
+from ekmedoids import metrics
+from ekmedoids.metrics import evaluate_batch
 
 
 def cache_for(ds, name="sqeuclidean", budget=2**31):
@@ -100,16 +103,19 @@ def test_cache_threshold():
 
 
 def test_cache_lookup_equals_direct_metric():
+    # "asymmetric" (see conftest) pins the orientation: row j of columns
+    # holds d(x_i, x_j), point first
     ds = synthetic(40, 3, 2, seed=3)
-    m = get_metric("manhattan")
-    pre = distance_cache(ds, m, 2**31)
-    fly = distance_cache(ds, m, 0)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        i, j = rng.integers(0, ds.n, size=2)
-        direct = m(ds.points[i], ds.points[j])
-        assert pre.columns([j])[i, 0] == direct
-        assert fly.columns([j])[i, 0] == direct
+    for name in ("manhattan", "asymmetric"):
+        m = get_metric(name)
+        pre = distance_cache(ds, m, 2**31)
+        fly = distance_cache(ds, m, 0)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            i, j = rng.integers(0, ds.n, size=2)
+            direct = m(ds.points[i], ds.points[j])
+            assert pre.columns([j])[0, i] == direct
+            assert fly.columns([j])[0, i] == direct
 
 
 def test_cache_modes_agree_bit_exactly():
@@ -140,6 +146,8 @@ def test_evaluate_objective_validation(toy):
         evaluate_objective(toy, [1, 7], c)
     with pytest.raises(InvalidArguments):
         evaluate_objective(toy, [3, 1], c)  # must be sorted unique
+    with pytest.raises(InvalidArguments):
+        evaluate_batch(toy, np.empty((2, 0), dtype=int), c)
 
 
 def test_objective_monotone_in_medoid_set():
@@ -203,13 +211,17 @@ def test_evaluate_batch_rejects_out_of_range(toy, budget, configs):
         evaluate_batch(toy, configs, cache_for(toy, budget=budget))
 
 
-def test_total_deviation_grouping_is_batch_invariant():
-    # the per-config sum must not depend on how configs are batched
-    rng = np.random.default_rng(2)
-    mins = rng.random((50, 7))
-    whole = total_deviation(mins)
-    split = np.concatenate([total_deviation(mins[:, :3]), total_deviation(mins[:, 3:])])
-    assert np.array_equal(whole, split)
+def test_evaluate_batch_is_chunk_invariant(monkeypatch):
+    # the per-config sum must not depend on how configs are chunked
+    ds = synthetic(30, 3, 3, seed=2)
+    configs = np.array(list(itertools.combinations(range(ds.n), 3)))
+    for budget in (2**31, 0):
+        cache = cache_for(ds, budget=budget)
+        whole = evaluate_batch(ds, configs, cache)
+        with monkeypatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK_ELEMS", 1)  # one config per chunk
+            split = evaluate_batch(ds, configs, cache)
+        assert np.array_equal(whole, split)
 
 
 # finite points whose squared distances overflow to inf

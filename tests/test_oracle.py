@@ -102,10 +102,19 @@ def test_agrees_with_ekm_across_metrics():
         n = int(rng.integers(8, 20))
         k = int(rng.integers(1, 5))
         ds = synthetic(n, int(rng.integers(1, 4)), min(k, n), int(rng.integers(2**32)))
-        for metric in ("sqeuclidean", "euclidean", "manhattan"):
-            cache = distance_cache(ds, get_metric(metric), 2**31)
-            a = solve_ekm(ds, SolverParams(k=k, metric=metric), cache=cache)
-            b = solve_exhaustive(ds, SolverParams(k=k, metric=metric), cache=cache)
+        # "asymmetric" (see conftest) on a small integer grid, with many
+        # ties, pins which side of each distance the two solvers read
+        grid = Dataset(points=rng.integers(0, 4, size=(n, 2)).astype(float))
+        for data, metric, budget in [
+            (ds, "sqeuclidean", 2**31),
+            (ds, "euclidean", 2**31),
+            (ds, "manhattan", 2**31),
+            (grid, "asymmetric", 2**31),
+            (grid, "asymmetric", 0),
+        ]:
+            cache = distance_cache(data, get_metric(metric), budget)
+            a = solve_ekm(data, SolverParams(k=k, metric=metric), cache=cache)
+            b = solve_exhaustive(data, SolverParams(k=k, metric=metric), cache=cache)
             assert a.objective == b.objective
             assert np.array_equal(a.medoid_indices, b.medoid_indices)
 
