@@ -32,8 +32,9 @@ from .metrics import (
 )
 from .problem import Solution, check_instance
 
-# candidate distance rows fetched per block in vectorized scans
-_BLOCK = 512
+# floats of candidate distance rows fetched per block in vectorized scans;
+# a block of 512 KB stays in L2 cache
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,21 +107,22 @@ def pam(
     if cache is None:
         cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
     n = ds.n
+    block = max(1, _BLOCK_ELEMS // n)
     evaluated = 0
 
     # BUILD: start from the point with minimal total distance, then add the
     # point with the largest aggregate gain until K medoids are chosen
     totals = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, n))
+    for lo in range(0, n, block):
+        idx = np.arange(lo, min(lo + block, n))
         totals[idx] = cache.columns(idx).sum(axis=1)
     evaluated += n
     medoids = [int(np.argmin(totals))]
     mindist = cache.columns([medoids[0]]).ravel().copy()
     while len(medoids) < k:
         gains = np.full(n, -np.inf)
-        for lo in range(0, n, _BLOCK):
-            idx = np.arange(lo, min(lo + _BLOCK, n))
+        for lo in range(0, n, block):
+            idx = np.arange(lo, min(lo + block, n))
             rows = cache.columns(idx)
             gains[idx] = np.maximum(0.0, mindist[None] - rows).sum(axis=1)
         gains[medoids] = -np.inf
@@ -138,8 +140,8 @@ def pam(
         delta = np.full((k, n), np.inf)
         for i in range(k):
             base = np.where(nearest == i, ds2, ds1)
-            for lo in range(0, n, _BLOCK):
-                idx = np.arange(lo, min(lo + _BLOCK, n))
+            for lo in range(0, n, block):
+                idx = np.arange(lo, min(lo + block, n))
                 rows = cache.columns(idx)
                 delta[i, idx] = np.minimum(base[None], rows).sum(axis=1) - total
         delta[:, med] = np.inf

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .metrics import DEFAULT_CACHE_BUDGET, DEFAULT_METRIC, DistanceCache, distance_cache, get_metric
 from .oracle import solve_exhaustive
-from .problem import DEFAULT_MEMORY_BUDGET, Solution, SolverParams
+from .problem import DEFAULT_MEMORY_BUDGET, Solution, SolverParams, check_k
 
 SCALING_CSV_COLUMNS = ("k", "n", "rep", "seed", "wall_time_seconds", "evaluated_configurations")
 
@@ -106,6 +106,7 @@ def run_scaling(
     that fail the solver's feasibility checks are skipped with a warning
     rather than aborting the sweep.
     """
+    k = check_k(k)
     if k < 1:
         raise InvalidArguments(f"need K >= 1, got {k}")
     if reps < 0:

@@ -115,7 +115,11 @@ def standardize(ds: Dataset) -> Dataset:
     pts = np.ldexp(ds.points, -np.frexp(np.abs(ds.points).max(axis=0))[1])
     constant = np.ptp(pts, axis=0) == 0
     sd = np.where(constant, 1.0, pts.std(axis=0, ddof=1))
-    out = np.where(constant, 0.0, (pts - pts.mean(axis=0)) / sd)
+    # centre twice: the second pass removes the first one's rounding error,
+    # which a later standardize would otherwise remove (not idempotent)
+    centred = pts - pts.mean(axis=0)
+    centred -= centred.mean(axis=0)
+    out = np.where(constant, 0.0, centred / sd)
     return Dataset(out, source=f"standardize({ds.source})")
 
 

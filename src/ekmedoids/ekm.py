@@ -32,7 +32,6 @@ from .dataset import Dataset
 from .errors import DistanceOverflow, InstanceTooLarge, RankOverflow
 from .generator import _INT64_MAX
 from .metrics import (
-    _CHUNK_ELEMS,
     DistanceCache,
     assign,
     distance_cache,
@@ -40,6 +39,10 @@ from .metrics import (
     get_metric,
 )
 from .problem import Solution, SolverParams, check_instance
+
+# floats per scoring block; cache-sized blocks would speed up large N alone
+# and push the a5 runtime slopes under their bounds
+_CHUNK_ELEMS = 1 << 23
 
 # floats of scoring work up to which consecutive steps share one batch
 _BATCH_ELEMS = 1 << 16

@@ -3,10 +3,13 @@
 The clustering objective (total deviation) of a medoid set is the sum over
 all points of the distance to their nearest medoid: a min over K rows of
 the medoid-major distance matrix (see `DistanceCache`), then one row sum.
-Every code path that needs an objective funnels through :func:`evaluate_batch`
-or helpers that reproduce its arithmetic exactly, so cached and uncached
-evaluation, the fused solver, and the exhaustive oracle all agree
-bit-for-bit; ties between medoid sets can be broken by float equality.
+:func:`evaluate_batch` takes that min as a chained elementwise `minimum`
+over cache-sized chunks of configurations, so its scratch is a few row
+blocks whatever the batch size.  Every code path that needs an objective
+funnels through :func:`evaluate_batch` or helpers that reproduce its
+arithmetic exactly, so cached and uncached evaluation, the fused solver,
+and the exhaustive oracle all agree bit-for-bit; ties between medoid sets
+can be broken by float equality.
 """
 
 from __future__ import annotations
@@ -22,8 +25,15 @@ from .errors import DistanceOverflow, InvalidArguments, ShapeError, UnknownMetri
 
 DEFAULT_CACHE_BUDGET = 2**31  # 2 GiB
 
-# floats per evaluation scratch buffer; bounds peak memory of batch evaluation
-_CHUNK_ELEMS = 1 << 23
+# floats per evaluation row block: 128 KB per buffer, so a chunk's gathers
+# and its running minimum stay in L2 cache.  With 2^16 floats glibc gave
+# the freed buffers back to the OS between chunks, and a K=3, N=200 oracle
+# solve took 0.9M minor page faults to fetch them again
+_CHUNK_ELEMS = 1 << 14
+
+# configs per evaluation chunk at the least, whatever N: an on-the-fly
+# `pairwise` call over one medoid was 2.5x slower per distance than over 8
+_MIN_CHUNK_CONFIGS = 8
 
 # floats per block of the matrix build; small blocks keep each transpose in cache
 _BUILD_ELEMS = 1 << 18
@@ -191,8 +201,12 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     """Objective values for a batch of medoid index configurations.
 
     `configs` is an (m, k) integer array, one sorted configuration per row.
-    Evaluation is chunked to bound scratch memory; chunking does not affect
-    the result bits.  An index outside [0, N) raises IndexError.
+    Configs are scored in chunks of `_CHUNK_ELEMS // N` rows, but at least
+    `_MIN_CHUNK_CONFIGS`: each chunk gathers one distance row per config
+    and medoid position, folds the rows into a running elementwise
+    minimum, then sums each length-N row.
+    The minimum is exact, so neither chunking nor the order of the fold
+    affects the result bits.  An index outside [0, N) raises IndexError.
     """
     configs = np.asarray(configs, dtype=np.int64)
     if configs.ndim != 2:
@@ -202,11 +216,16 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     if m == 0:
         return out
     _check_range(ds, configs)
-    step = max(1, _CHUNK_ELEMS // max(1, ds.n * k))
+    step = max(_MIN_CHUNK_CONFIGS, _CHUNK_ELEMS // ds.n)
     for lo in range(0, m, step):
         sub = configs[lo : lo + step]
-        rows = cache.columns(sub.ravel()).reshape(sub.shape[0], k, ds.n)
-        out[lo : lo + sub.shape[0]] = rows.min(axis=1).sum(axis=1)
+        acc = cache.columns(sub[:, 0])
+        if k > 1:
+            # a fresh array: `columns` may return a view that must not be written
+            acc = np.minimum(acc, cache.columns(sub[:, 1]))
+        for j in range(2, k):
+            np.minimum(acc, cache.columns(sub[:, j]), out=acc)
+        out[lo : lo + sub.shape[0]] = np.add.reduce(acc, axis=1)
     return out
 
 

@@ -2,9 +2,11 @@
 
 This is the correctness oracle for the fused solver, so it deliberately
 shares nothing with the generator machinery: combinations are enumerated
-by the textbook lexicographic successor (the stdlib combinations iterator)
-and the colex tie rule is recomputed here from the closed formula rather
-than taken from the generator module.  Nor does it import the solver:
+by the textbook lexicographic successor (the stdlib combinations iterator),
+read `_BLOCK` combinations at a time into an int64 array with
+`np.fromiter` and scored by `evaluate_batch`, and the colex tie rule is
+recomputed here from the closed formula rather than taken from the
+generator module.  Nor does it import the solver:
 only the Dataset, the metrics primitives and the shared problem
 definitions are shared, which is what makes exact objective agreement
 meaningful.
@@ -66,10 +68,10 @@ def solve_exhaustive(
     evaluated = 0
     combos = itertools.combinations(range(n), k)
     while True:
-        block = list(itertools.islice(combos, _BLOCK))
-        if not block:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, _BLOCK))
+        sub = np.fromiter(flat, np.int64).reshape(-1, k)
+        if sub.shape[0] == 0:
             break
-        sub = np.array(block, dtype=np.int64)
         values = evaluate_batch(ds, sub, cache)
         evaluated += sub.shape[0]
         vmin = float(values.min())

@@ -42,12 +42,17 @@ class Solution:
     level_sizes: Optional[list[list[int]]] = field(default=None, repr=False)
 
 
-def check_instance(ds: Dataset, k) -> int:
-    """Refuse an empty dataset and any K but an integer in 1 .. N; return K."""
+def check_k(k) -> int:
+    """Refuse a K that is not an integer (2.7, "2"); return it as an int."""
     try:
-        k = operator.index(k)
+        return operator.index(k)
     except TypeError:
         raise InvalidArguments(f"K must be an integer, got {k!r}") from None
+
+
+def check_instance(ds: Dataset, k) -> int:
+    """Refuse an empty dataset and any K but an integer in 1 .. N; return K."""
+    k = check_k(k)
     if ds.n == 0:
         raise EmptyDataset("cannot cluster an empty dataset")
     if k < 1 or k > ds.n:

@@ -57,6 +57,12 @@ def test_run_scaling_validates():
         run_scaling(3, [2, 10], reps=1, seed=0)  # size < k
 
 
+@pytest.mark.parametrize("k", [2.7, "2"])
+def test_run_scaling_refuses_non_integer_k(k):
+    with pytest.raises(InvalidArguments, match="K must be an integer"):
+        run_scaling(k, [10], reps=1)
+
+
 def test_run_scaling_skips_infeasible_with_warning(monkeypatch):
     # a refused instance is refused before its distance cache is built
     builds = []

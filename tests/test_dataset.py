@@ -145,6 +145,15 @@ def test_standardize_extreme_scales_idempotent(column):
     assert np.allclose(twice.points, once.points, atol=1e-12, rtol=0)
 
 
+def test_standardize_idempotent_small_spread_large_offset():
+    # one-pass centring left a mean of 1.16e-12 here, and a second
+    # standardize moved a value by 1.159e-12
+    once = standardize(Dataset(points=np.array([[999598.0], [999656.0], [999656.0]])))
+    twice = standardize(once)
+    assert abs(once.points.mean()) < 1e-15
+    assert np.allclose(twice.points, once.points, atol=1e-12, rtol=0)
+
+
 def test_standardize_requires_two_rows():
     with pytest.raises(InsufficientData):
         standardize(Dataset(points=np.array([[1.0, 2.0]])))

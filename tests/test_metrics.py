@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ekmedoids import (
     Dataset,
+    DistanceCache,
     DistanceOverflow,
     InvalidArguments,
     ShapeError,
@@ -222,6 +224,82 @@ def test_evaluate_batch_is_chunk_invariant(monkeypatch):
             mp.setattr(metrics, "_CHUNK_ELEMS", 1)  # one config per chunk
             split = evaluate_batch(ds, configs, cache)
         assert np.array_equal(whole, split)
+
+
+@pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])
+@pytest.mark.parametrize("name", ["sqeuclidean", "euclidean", "manhattan", "asymmetric"])
+def test_evaluate_batch_bits_match_one_shot_min(name, budget):
+    # the chained chunk-wise minimum must give the bits of one (m, K, N)
+    # gather reduced by .min(axis=1).sum(axis=1); 1000 configs at N=40 span
+    # three chunks, the last one partial
+    rng = np.random.default_rng(71)
+    ds = Dataset(points=rng.normal(size=(40, 3)) * 1e3)
+    cache = cache_for(ds, name, budget)
+    for k in range(1, 6):
+        configs = np.sort(
+            np.array([rng.choice(ds.n, k, replace=False) for _ in range(1000)]), axis=1
+        )
+        rows = cache.columns(configs.ravel()).reshape(len(configs), k, ds.n)
+        want = rows.min(axis=1).sum(axis=1)
+        got = evaluate_batch(ds, configs, cache)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_batch_scratch_is_bounded():
+    # scoring all C(60, 3) configs at once must not gather them all at once
+    ds = synthetic(60, 2, 3, seed=4)
+    cache = cache_for(ds)
+    configs = np.array(list(itertools.combinations(range(ds.n), 3)))
+    tracemalloc.start()
+    try:
+        evaluate_batch(ds, configs, cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+class _ReadOnlyCache(DistanceCache):
+    """A cache whose `columns` hands out arrays that must not be written."""
+
+    def columns(self, indices):
+        rows = super().columns(indices)
+        rows.flags.writeable = False
+        return rows
+
+
+class _CountingCache(DistanceCache):
+    calls = 0
+
+    def columns(self, indices):
+        self.calls += 1
+        return super().columns(indices)
+
+
+def test_evaluate_batch_chunks_hold_several_configs():
+    # at N = 3000 a chunk of 2^14 floats is 5 rows; it still takes 8
+    # configs, so an on-the-fly cache computes 8 medoids per `pairwise`
+    ds = synthetic(3000, 2, 3, seed=5)
+    cache = _CountingCache(ds, get_metric("sqeuclidean"), "on-the-fly")
+    configs = np.arange(20).reshape(-1, 1)
+    got = evaluate_batch(ds, configs, cache)
+    assert cache.calls == 3
+    assert np.array_equal(got, cache.columns(configs.ravel()).sum(axis=1))
+
+
+def test_evaluate_batch_leaves_columns_unwritten():
+    ds = synthetic(25, 2, 3, seed=8)
+    cache = cache_for(ds)
+    frozen = _ReadOnlyCache(ds, cache.metric, cache.mode, cache.matrix)
+    for k in range(1, 5):
+        configs = np.array(list(itertools.combinations(range(ds.n), k)))
+        assert np.array_equal(
+            evaluate_batch(ds, configs, frozen), evaluate_batch(ds, configs, cache)
+        )
+    want = solve_exhaustive(ds, SolverParams(k=3), cache=cache)
+    got = solve_exhaustive(ds, SolverParams(k=3), cache=frozen)
+    assert got.objective == want.objective
+    assert got.medoid_indices.tolist() == want.medoid_indices.tolist()
 
 
 # finite points whose squared distances overflow to inf

@@ -16,6 +16,7 @@ from ekmedoids import (
     solve_exhaustive,
     synthetic,
 )
+from ekmedoids import oracle
 
 
 def test_k_equals_n_zero_objective():
@@ -125,3 +126,18 @@ def test_solution_fields_consistent():
     sol = solve_exhaustive(ds, SolverParams(k=2), cache=cache)
     assert sol.objective == evaluate_objective(ds, sol.medoid_indices, cache)
     assert sol.wall_time_seconds > 0.0
+
+
+@pytest.mark.parametrize("block", [7, oracle._BLOCK], ids=["block-7", "default-block"])
+@pytest.mark.parametrize("n, k", [(12, 1), (9, 9), (11, 3), (40, 3)])
+def test_partial_last_block(monkeypatch, block, n, k):
+    # C(N, K) = 12, 1, 165 and 9880: none is a multiple of either block
+    # size, so the last block is partial (or the only one)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    ds = synthetic(n, 2, min(k, 3), seed=n)
+    cache = distance_cache(ds, get_metric("sqeuclidean"), 2**31)
+    got = solve_exhaustive(ds, SolverParams(k=k), cache=cache)
+    want = solve_ekm(ds, SolverParams(k=k), cache=cache)
+    assert got.evaluated_configurations == math.comb(n, k)
+    assert got.objective.hex() == want.objective.hex()
+    assert got.medoid_indices.tolist() == want.medoid_indices.tolist()
