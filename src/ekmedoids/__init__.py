@@ -6,7 +6,9 @@ every size-K configuration is scored but never stored.  `oracle` holds
 an independent brute-force check, `baselines` the classic approximate
 algorithms, and `bench` the scaling/comparison harness and the one
 name-to-solver dispatch.  `problem` holds what every solver shares: the
-instance check, `SolverParams` and `Solution`.
+instance check, `SolverParams` and `Solution`.  The package holds only
+what a solve uses: the unfused, list-based generator that the solver
+fuses is the test suite's reference (`tests/generator_reference.py`).
 """
 
 from .baselines import BaselineParams, clarans, fasterpam, pam
@@ -23,7 +25,6 @@ from .bench import (
 from .dataset import Dataset, load_csv, save_csv, standardize, synthetic
 from .ekm import solve_ekm
 from .errors import (
-    DisjointnessViolation,
     DistanceOverflow,
     EmptyDataset,
     ExactKMedoidsError,
@@ -34,14 +35,6 @@ from .errors import (
     RankOverflow,
     ShapeError,
     UnknownMetric,
-)
-from .generator import (
-    LevelStore,
-    cross_join,
-    gen_combs,
-    merge,
-    rank_colex,
-    unrank_colex,
 )
 from .metrics import (
     DistanceCache,
@@ -63,7 +56,6 @@ __all__ = [
     "BaselineParams",
     "CompareRow",
     "Dataset",
-    "DisjointnessViolation",
     "DistanceOverflow",
     "DistanceCache",
     "EmptyDataset",
@@ -71,7 +63,6 @@ __all__ = [
     "InstanceTooLarge",
     "InsufficientData",
     "InvalidArguments",
-    "LevelStore",
     "Metric",
     "ParseError",
     "RankOverflow",
@@ -83,19 +74,15 @@ __all__ = [
     "assign",
     "clarans",
     "compare",
-    "cross_join",
     "distance_cache",
     "evaluate_batch",
     "evaluate_objective",
     "fasterpam",
     "fit_slope",
-    "gen_combs",
     "get_metric",
     "list_metrics",
     "load_csv",
-    "merge",
     "pam",
-    "rank_colex",
     "register_metric",
     "run_scaling",
     "save_csv",
@@ -105,6 +92,5 @@ __all__ = [
     "solve_exhaustive",
     "standardize",
     "synthetic",
-    "unrank_colex",
     "write_scaling_csv",
 ]

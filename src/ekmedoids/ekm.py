@@ -1,9 +1,12 @@
 """The fused exact solver: evaluate-while-generating with a single incumbent.
 
-The unfused machinery in `generator` materializes every combination before
-evaluation.  Here the evaluator is fused into the level-store merge (a
-configuration reaching the target size K is scored as soon as its parts
-exist) and the selector is fused on top (scored configurations are
+The solver is a combination generator with evaluation and selection fused
+in.  Unfused, the generator grows level stores of every combination of
+the points seen so far, one point at a time, and would materialize every
+configuration before scoring it (the tests keep that plain-list form as
+their reference).  Here the evaluator is fused into the level-store merge
+(a configuration reaching the target size K is scored as soon as its
+parts exist) and the selector is fused on top (scored configurations are
 streamed into one incumbent and never retained).  Only partial
 configurations of size < K are stored, so for fixed K the search over all
 C(N, K) medoid sets runs in O(N^{K+1}) time and O(N^{K-1} + N^2) space.
@@ -13,7 +16,8 @@ that end at p; each one's row-min over the cache's medoid-major distance
 matrix is built once and then scored against every later point q with one
 `minimum` and one contiguous length-N row sum, the same sum
 `evaluate_batch` takes, so objectives are bit-equal to it.  Steps whose
-work is small are batched into one scoring round.
+work is small are batched into one scoring round.  K = 1 has no partials
+to reduce: its N single-point sets are scored by `evaluate_batch` itself.
 
 Tie rule: configurations are not scored in colexicographic order, so the
 incumbent compares (objective, colex rank) and keeps the smaller pair.
@@ -30,15 +34,16 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DistanceOverflow, InstanceTooLarge, RankOverflow
-from .generator import _INT64_MAX
 from .metrics import (
     DistanceCache,
+    _chunk_rows,
     assign,
     distance_cache,
+    evaluate_batch,
     evaluate_objective,
     get_metric,
 )
-from .problem import Solution, SolverParams, check_instance
+from .problem import _INT64_MAX, Solution, SolverParams, check_instance
 
 # floats per scoring block; cache-sized blocks would speed up large N alone
 # and push the a5 runtime slopes under their bounds
@@ -53,7 +58,9 @@ def estimate_solver_bytes(n: int, k: int) -> int:
 
     Counts the level stores of partials of sizes 1 .. k-1 and, for K >= 2,
     the N x N distance matrix scoring reads plus the scoring scratch; K = 1
-    scores one distance row at a time.
+    scores through `evaluate_batch`, which gathers each chunk of distance
+    rows before it frees the previous one, plus the N candidates and their
+    N objectives.
     """
     return _solver_bytes(n, k, _plan(n, k)[1])
 
@@ -62,7 +69,7 @@ def _solver_bytes(n: int, k: int, scratch: tuple[int, ...]) -> int:
     """`estimate_solver_bytes` for scratch sizes already planned."""
     levels = sum(math.comb(n, j) * j * 8 for j in range(1, k))
     if k == 1:
-        return levels + 2 * n * 8
+        return levels + 8 * (2 * _chunk_rows(n) * n + 2 * n)
     return levels + 8 * n * n + sum(scratch) * 8
 
 
@@ -219,16 +226,11 @@ def solve_ekm(
             counts[j] += m
         if level_log is not None:
             level_log.append(list(counts))
-        if k == 1:
-            blocks = [(np.add.reduce(cache.columns([p]), axis=1)[None], p, 0)]
-            evaluated += 1
-        elif p in rounds:
-            lo, hi, p0, qb, mb = rounds[p]
-            blocks = _score_partials(dt, store, lo, hi, p0, qb, mb, buffers)
-            evaluated += int((n - 1 - store[lo:hi, -1]).sum())
-        else:
+        if p not in rounds:
             continue
-        for values, q0, r0 in blocks:
+        lo, hi, p0, qb, mb = rounds[p]
+        evaluated += int((n - 1 - store[lo:hi, -1]).sum())
+        for values, q0, r0 in _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
             flat = int(values.argmin())
             vmin = float(values.flat[flat])
             if vmin > best_val:
@@ -238,6 +240,11 @@ def solve_ekm(
             rank = math.comb(q, k) + row
             if vmin < best_val or rank < best_rank:
                 best_val, best_rank, best_row, best_q = vmin, rank, row, q
+    if k == 1:
+        # the colex rank of {q} is q, so the first minimum wins the tie rule
+        values = evaluate_batch(ds, np.arange(n)[:, None], cache)
+        best_q = best_rank = int(values.argmin())
+        best_val, best_row, evaluated = float(values[best_q]), 0, n
     if best_rank < 0:
         raise DistanceOverflow("no medoid set has a finite objective")
     medoids = np.append(store[best_row], best_q)

@@ -42,10 +42,6 @@ class DistanceOverflow(ExactKMedoidsError):
     """Distances that are not finite, or so large that an objective overflows."""
 
 
-class DisjointnessViolation(ExactKMedoidsError):
-    """Cross-joined configurations share an index."""
-
-
 class RankOverflow(ExactKMedoidsError):
     """A combination rank or count that does not fit in 64 bits."""
 

@@ -216,7 +216,7 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     if m == 0:
         return out
     _check_range(ds, configs)
-    step = max(_MIN_CHUNK_CONFIGS, _CHUNK_ELEMS // ds.n)
+    step = _chunk_rows(ds.n)
     for lo in range(0, m, step):
         sub = configs[lo : lo + step]
         acc = cache.columns(sub[:, 0])
@@ -227,6 +227,11 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
             np.minimum(acc, cache.columns(sub[:, j]), out=acc)
         out[lo : lo + sub.shape[0]] = np.add.reduce(acc, axis=1)
     return out
+
+
+def _chunk_rows(n: int) -> int:
+    """Configs per `evaluate_batch` chunk at N points."""
+    return max(_MIN_CHUNK_CONFIGS, _CHUNK_ELEMS // n)
 
 
 def _check_range(ds: Dataset, indices: np.ndarray) -> None:

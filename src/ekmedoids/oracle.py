@@ -1,15 +1,14 @@
 """Independent exhaustive search over all C(N, K) medoid sets.
 
 This is the correctness oracle for the fused solver, so it deliberately
-shares nothing with the generator machinery: combinations are enumerated
-by the textbook lexicographic successor (the stdlib combinations iterator),
+shares none of the solver's enumeration: combinations are enumerated by
+the textbook lexicographic successor (the stdlib combinations iterator),
 read `_BLOCK` combinations at a time into an int64 array with
 `np.fromiter` and scored by `evaluate_batch`, and the colex tie rule is
 recomputed here from the closed formula rather than taken from the
-generator module.  Nor does it import the solver:
-only the Dataset, the metrics primitives and the shared problem
-definitions are shared, which is what makes exact objective agreement
-meaningful.
+solver's `comb(q, K) + row`.  Nor does it import the solver: only the
+Dataset, the metrics primitives and the shared problem definitions are
+shared, which is what makes exact objective agreement meaningful.
 """
 
 from __future__ import annotations

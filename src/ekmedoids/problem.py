@@ -18,6 +18,9 @@ from .metrics import DEFAULT_CACHE_BUDGET, DEFAULT_METRIC
 
 DEFAULT_MEMORY_BUDGET = 2**32  # 4 GiB
 
+# largest configuration count or colex rank a solve may reach
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class SolverParams:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ekmedoids import Dataset, register_metric, synthetic
+from ekmedoids import Dataset, DistanceCache, register_metric, synthetic
 
 # a 5-point line with two obvious clusters: optimal K=2 medoids are
 # {1, 3} at objective 3, tied with {1, 4} and won on colex rank
@@ -23,6 +23,16 @@ def _asymmetric(X, Y):
 
 
 register_metric("asymmetric", pairwise=_asymmetric)
+
+
+class CountingCache(DistanceCache):
+    """A distance cache that counts its `columns` calls."""
+
+    calls = 0
+
+    def columns(self, indices):
+        self.calls += 1
+        return super().columns(indices)
 
 
 def instance_corpus(count: int, seed: int = 8128, n_range=(8, 41),

@@ -10,9 +10,9 @@ other.  Iterating that merge over single points enumerates every
 combination of the first n points, grouped by size, in colexicographic
 order within each level.
 
-Everything here is a plain-list reference implementation meant for testing
-and for small n (say n <= 20); the fused solver in `ekm` reproduces its
-semantics without materializing the enumeration.
+This is the plain-list reference that the tests hold the fused solver in
+`ekmedoids.ekm` to (gates a2 and a7, the fused-merge reference solver);
+it is meant for small n (say n <= 20) and is not part of the package.
 """
 
 from __future__ import annotations
@@ -20,12 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DisjointnessViolation, InvalidArguments, RankOverflow
+from ekmedoids.errors import ExactKMedoidsError, InvalidArguments, RankOverflow
+from ekmedoids.problem import _INT64_MAX
+
+
+class DisjointnessViolation(ExactKMedoidsError):
+    """Cross-joined configurations share an index."""
+
 
 # A configuration: strictly increasing tuple of point indices.
 Config = tuple[int, ...]
-
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)

@@ -31,20 +31,18 @@ from ekmedoids import (
     evaluate_batch,
     fasterpam,
     fit_slope,
-    gen_combs,
     get_metric,
     load_csv,
     pam,
-    rank_colex,
     run_scaling,
     solve_ekm,
     solve_exhaustive,
     standardize,
     synthetic,
-    unrank_colex,
 )
 
 from conftest import instance_corpus
+from generator_reference import gen_combs, rank_colex, unrank_colex
 
 _CORPUS = instance_corpus(200)
 _EXACT = {}

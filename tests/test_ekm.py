@@ -23,8 +23,10 @@ from ekmedoids import (
 )
 from ekmedoids import ekm
 from ekmedoids.ekm import estimate_solver_bytes
-from ekmedoids.generator import conv, cross_join, merge
 from ekmedoids.metrics import evaluate_batch
+
+from conftest import CountingCache
+from generator_reference import conv, cross_join, merge
 
 
 def cache_for(ds, name="sqeuclidean"):
@@ -204,6 +206,37 @@ def test_memory_estimate_counts_transpose_only_for_k_above_one():
     n = 4000
     assert estimate_solver_bytes(n, 1) < 8 * n * n
     assert estimate_solver_bytes(n, 2) >= 8 * n * n + 8 * math.comb(n, 1)
+
+
+def test_k1_memory_estimate_bounds_the_solve():
+    # K = 1 holds two `evaluate_batch` chunks of distance rows, the N
+    # candidates and their N objectives; the prebuilt matrix is not its own
+    n = 4000
+    ds = synthetic(n, 2, 1, seed=0)
+    cache = cache_for(ds)
+    tracemalloc.start()
+    try:
+        solve_ekm(ds, SolverParams(k=1), cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate_solver_bytes(n, 1) + 16 * 1024
+
+
+@pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])
+def test_k1_scores_through_evaluate_batch(budget):
+    # chunks of at least 8 single-point sets, then one verify and one
+    # assign: an on-the-fly cache computes 8 medoids per `pairwise`
+    n = 3000
+    ds = synthetic(n, 2, 1, seed=5)
+    base = distance_cache(ds, get_metric("sqeuclidean"), budget)
+    cache = CountingCache(ds, base.metric, base.mode, base.matrix)
+    sol = solve_ekm(ds, SolverParams(k=1), cache=cache)
+    assert cache.calls <= -(-n // 8) + 2
+    assert sol.evaluated_configurations == n
+    want = solve_exhaustive(ds, SolverParams(k=1), cache=base)
+    assert sol.objective.hex() == want.objective.hex()
+    assert sol.medoid_indices.tolist() == want.medoid_indices.tolist()
 
 
 def test_prebuilt_matrix_is_not_copied():

