@@ -20,15 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InvalidArguments
+from .errors import InvalidArguments, check_int
 from .metrics import (
-    DEFAULT_CACHE_BUDGET,
     DEFAULT_METRIC,
     DistanceCache,
+    _solve_cache,
     assign,
-    distance_cache,
     evaluate_objective,
-    get_metric,
 )
 from .problem import Solution, check_instance
 
@@ -48,6 +46,12 @@ class BaselineParams:
     clarans_maxneighbor: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("seed", "max_iter", "clarans_numlocal"):
+            check_int(getattr(self, name), name)
+        if self.clarans_maxneighbor is not None:
+            check_int(self.clarans_maxneighbor, "clarans_maxneighbor")
+        if self.seed < 0:
+            raise InvalidArguments(f"seed must be >= 0, got {self.seed}")
         if self.max_iter < 1 or self.clarans_numlocal < 1:
             raise InvalidArguments("iteration counts must be >= 1")
         if self.clarans_maxneighbor is not None and self.clarans_maxneighbor < 1:
@@ -94,7 +98,6 @@ def pam(
     params: Optional[BaselineParams] = None,
     cache: Optional[DistanceCache] = None,
     metric_name: str = DEFAULT_METRIC,
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
 ) -> Solution:
     """Classic PAM: greedy BUILD then best-improvement SWAP to a local optimum.
 
@@ -104,8 +107,7 @@ def pam(
     params = params or BaselineParams()
     k = check_instance(ds, k)
     t0 = time.perf_counter()
-    if cache is None:
-        cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
+    cache = _solve_cache(ds, cache, metric_name)
     n = ds.n
     block = max(1, _BLOCK_ELEMS // n)
     evaluated = 0
@@ -161,15 +163,13 @@ def fasterpam(
     params: Optional[BaselineParams] = None,
     cache: Optional[DistanceCache] = None,
     metric_name: str = DEFAULT_METRIC,
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
 ) -> Solution:
     """FasterPAM: seeded random init, then eager swaps where each candidate
     scan scores the removal of every medoid jointly in one O(N) pass."""
     params = params or BaselineParams()
     k = check_instance(ds, k)
     t0 = time.perf_counter()
-    if cache is None:
-        cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
+    cache = _solve_cache(ds, cache, metric_name)
     n = ds.n
     rng = np.random.default_rng(params.seed)
     med = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
@@ -228,15 +228,13 @@ def clarans(
     params: Optional[BaselineParams] = None,
     cache: Optional[DistanceCache] = None,
     metric_name: str = DEFAULT_METRIC,
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
 ) -> Solution:
     """CLARANS: randomized neighbor search with numlocal restarts and
     maxneighbor samples before declaring a local optimum."""
     params = params or BaselineParams()
     k = check_instance(ds, k)
     t0 = time.perf_counter()
-    if cache is None:
-        cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
+    cache = _solve_cache(ds, cache, metric_name)
     n = ds.n
     rng = np.random.default_rng(params.seed)
     maxneighbor = params.maxneighbor(n, k)

@@ -29,10 +29,11 @@ from .errors import (
     InsufficientData,
     InvalidArguments,
     RankOverflow,
+    check_int,
 )
-from .metrics import DEFAULT_CACHE_BUDGET, DEFAULT_METRIC, DistanceCache, distance_cache, get_metric
+from .metrics import DEFAULT_MEMORY_BUDGET, DEFAULT_METRIC, DistanceCache, distance_cache, get_metric
 from .oracle import solve_exhaustive
-from .problem import DEFAULT_MEMORY_BUDGET, Solution, SolverParams, check_k
+from .problem import Solution, SolverParams
 
 SCALING_CSV_COLUMNS = ("k", "n", "rep", "seed", "wall_time_seconds", "evaluated_configurations")
 
@@ -96,7 +97,6 @@ def run_scaling(
     reps: int = 3,
     seed: int = 0,
     metric_name: str = DEFAULT_METRIC,
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
 ) -> list[ScalingRecord]:
     """Time solve_ekm on fresh synthetic datasets for each (n, rep) pair.
@@ -106,7 +106,7 @@ def run_scaling(
     that fail the solver's feasibility checks are skipped with a warning
     rather than aborting the sweep.
     """
-    k = check_k(k)
+    k = check_int(k, "K")
     if k < 1:
         raise InvalidArguments(f"need K >= 1, got {k}")
     if reps < 0:
@@ -116,8 +116,7 @@ def run_scaling(
         raise InvalidArguments("sizes must be ascending")
     if any(n < k for n in sizes):
         raise InvalidArguments("every size must be >= K")
-    params = SolverParams(k=k, metric=metric_name, cache_budget_bytes=cache_budget_bytes,
-                          memory_budget_bytes=memory_budget_bytes)
+    params = SolverParams(k=k, metric=metric_name, memory_budget_bytes=memory_budget_bytes)
     metric = get_metric(metric_name)
     records: list[ScalingRecord] = []
     for n in sizes:
@@ -130,7 +129,7 @@ def run_scaling(
                 warnings.warn(f"skipping n={n} k={k}: {exc}", stacklevel=2)
                 continue
             t0 = time.perf_counter()
-            cache = distance_cache(ds, metric, cache_budget_bytes)
+            cache = distance_cache(ds, metric, memory_budget_bytes)
             cache_build = time.perf_counter() - t0
             sol = solve_ekm(ds, params, cache=cache)
             records.append(
@@ -224,7 +223,6 @@ def run_algorithm(
     k: int,
     *,
     metric_name: str = DEFAULT_METRIC,
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
     baseline_params: Optional[BaselineParams] = None,
     cache: Optional[DistanceCache] = None,
 ) -> Solution:
@@ -236,10 +234,8 @@ def run_algorithm(
     _check_algorithm(name)
     solver = _SOLVERS[name]
     if solver in _EXACT:
-        params = SolverParams(k=k, metric=metric_name, cache_budget_bytes=cache_budget_bytes)
-        return solver(ds, params, cache=cache)
-    return solver(ds, k, baseline_params, cache=cache, metric_name=metric_name,
-                  cache_budget_bytes=cache_budget_bytes)
+        return solver(ds, SolverParams(k=k, metric=metric_name), cache=cache)
+    return solver(ds, k, baseline_params, cache=cache, metric_name=metric_name)
 
 
 def compare(
@@ -248,7 +244,6 @@ def compare(
     algorithms: Sequence[str] = ("ekm", "pam", "fasterpam", "clarans"),
     seed: int = 0,
     metric_name: str = DEFAULT_METRIC,
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
 ) -> list[CompareRow]:
     """Run each algorithm on each dataset and collect one row per dataset.
 
@@ -269,12 +264,11 @@ def compare(
             rows.append(CompareRow(name=str(item), n=None, d=None,
                                    results={}, error=str(exc)))
             continue
-        cache = distance_cache(ds, get_metric(metric_name), cache_budget_bytes)
+        cache = distance_cache(ds, get_metric(metric_name))
         results: dict[str, AlgoCell] = {}
         for alg in algorithms:
             try:
                 sol = run_algorithm(alg, ds, k, metric_name=metric_name,
-                                    cache_budget_bytes=cache_budget_bytes,
                                     baseline_params=bparams, cache=cache)
             except (InstanceTooLarge, RankOverflow) as exc:
                 warnings.warn(f"{alg} skipped on {name}: {exc}", stacklevel=2)

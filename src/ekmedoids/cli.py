@@ -27,7 +27,7 @@ from .bench import (
 )
 from .dataset import load_csv, standardize
 from .errors import ExactKMedoidsError, InstanceTooLarge, InvalidArguments, RankOverflow
-from .metrics import DEFAULT_CACHE_BUDGET, list_metrics
+from .metrics import list_metrics
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,8 +40,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", default="sqeuclidean", choices=list_metrics(),
                    help="distance function (default: sqeuclidean)")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized algorithms")
-    p.add_argument("--cache-budget", type=int, default=DEFAULT_CACHE_BUDGET,
-                   metavar="BYTES", help="max bytes for the precomputed distance matrix")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output path (default: stdout)")
 
@@ -113,7 +111,6 @@ def cmd_cluster(args) -> int:
     ds = _load(args, args.input)
     # no cache is passed, so wall_time_seconds includes the distance build
     sol = run_algorithm(args.algorithm, ds, args.k, metric_name=args.metric,
-                        cache_budget_bytes=args.cache_budget,
                         baseline_params=args.baseline_params)
     doc = {
         "algorithm": args.algorithm,
@@ -135,7 +132,7 @@ def cmd_compare(args) -> int:
     algorithms = args.algorithm_list
     datasets = [(path, _load(args, path)) for path in args.input]
     rows = compare(datasets, args.k, algorithms=algorithms, seed=args.seed,
-                   metric_name=args.metric, cache_budget_bytes=args.cache_budget)
+                   metric_name=args.metric)
     dicts = compare_rows_to_dicts(rows)
     if args.format == "json":
         _emit(json.dumps(dicts, indent=2) + "\n", args.out)
@@ -153,8 +150,7 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     records = run_scaling(args.k, args.size_list, reps=args.reps, seed=args.seed,
-                          metric_name=args.metric,
-                          cache_budget_bytes=args.cache_budget)
+                          metric_name=args.metric)
     _emit(scaling_csv_text(records), args.out)
     if args.summary_out is not None:
         summary = scaling_summary(records)
@@ -169,12 +165,12 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--k must be >= 1, got {args.k}")
     if len(getattr(args, "delimiter", ",")) != 1:
         parser.error("--delimiter must be a single character")
-    if args.subcommand == "cluster":
+    if args.subcommand in ("cluster", "compare"):
+        # compare sets only the seed; cluster also the iteration knobs
+        knobs = ("max_iter", "clarans_numlocal", "clarans_maxneighbor")
         try:
             args.baseline_params = BaselineParams(
-                seed=args.seed, max_iter=args.max_iter,
-                clarans_numlocal=args.clarans_numlocal,
-                clarans_maxneighbor=args.clarans_maxneighbor)
+                seed=args.seed, **{f: getattr(args, f) for f in knobs if f in args})
         except InvalidArguments as exc:
             parser.error(str(exc))
     if args.subcommand == "compare":

@@ -19,6 +19,7 @@ from .errors import (
     InvalidArguments,
     ParseError,
     ShapeError,
+    check_int,
 )
 
 
@@ -56,8 +57,11 @@ def load_csv(path, has_header: bool = False, delimiter: str = ",") -> Dataset:
 
     Every cell is parsed as a 64-bit real (integer-looking cells are
     promoted silently).  Raises EmptyDataset for a file with no data rows,
-    ShapeError for ragged rows, ParseError for non-numeric cells.
+    ShapeError for ragged rows, ParseError for non-numeric cells, and
+    InvalidArguments for a delimiter that is not one character.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise InvalidArguments(f"delimiter must be one character, got {delimiter!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     return _parse_csv(text, has_header=has_header, delimiter=delimiter, source=str(path))
@@ -131,6 +135,7 @@ def synthetic(n: int, d: int, k_true: int, seed: int) -> Dataset:
     generator is numpy's PCG64 seeded by `seed`, so the same arguments give
     bit-identical output within one build.
     """
+    n, d, k_true = check_int(n, "n"), check_int(d, "d"), check_int(k_true, "k_true")
     if d < 1 or k_true < 1:
         raise InvalidArguments(f"need d >= 1 and k_true >= 1, got d={d}, k_true={k_true}")
     if n < k_true:

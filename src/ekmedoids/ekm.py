@@ -37,11 +37,11 @@ from .errors import DistanceOverflow, InstanceTooLarge, RankOverflow
 from .metrics import (
     DistanceCache,
     _chunk_rows,
+    _solve_cache,
     assign,
     distance_cache,
     evaluate_batch,
     evaluate_objective,
-    get_metric,
 )
 from .problem import _INT64_MAX, Solution, SolverParams, check_instance
 
@@ -57,10 +57,11 @@ def estimate_solver_bytes(n: int, k: int) -> int:
     """Upper estimate of solver-owned memory for an (n, k) instance.
 
     Counts the level stores of partials of sizes 1 .. k-1 and, for K >= 2,
-    the N x N distance matrix scoring reads plus the scoring scratch; K = 1
-    scores through `evaluate_batch`, which gathers each chunk of distance
-    rows before it frees the previous one, plus the N candidates and their
-    N objectives.
+    the N x N distance matrix scoring reads plus the scoring scratch.
+    K = 1 holds no matrix: it scores through `evaluate_batch` on the fly,
+    where a chunk's `pairwise` block and its transposed copy are both
+    alive while the previous chunk is, so three chunks of distance rows
+    are counted, plus the N candidates and their N objectives.
     """
     return _solver_bytes(n, k, _plan(n, k)[1])
 
@@ -69,7 +70,7 @@ def _solver_bytes(n: int, k: int, scratch: tuple[int, ...]) -> int:
     """`estimate_solver_bytes` for scratch sizes already planned."""
     levels = sum(math.comb(n, j) * j * 8 for j in range(1, k))
     if k == 1:
-        return levels + 8 * (2 * _chunk_rows(n) * n + 2 * n)
+        return levels + 8 * (3 * _chunk_rows(n) * n + 2 * n)
     return levels + 8 * n * n + sum(scratch) * 8
 
 
@@ -185,12 +186,12 @@ def solve_ekm(
     prebuilt `cache` keeps its construction out of the reported wall time.
     Refuses instances whose solver memory (`estimate_solver_bytes`) would
     exceed the memory budget, reporting the estimate instead of exhausting
-    memory.
+    memory, and a `cache` built on another dataset.
     """
     k, rounds, sizes = check_solvable(ds, params)
     t0 = time.perf_counter()
-    if cache is None:
-        cache = distance_cache(ds, get_metric(params.metric), params.cache_budget_bytes)
+    # for K >= 2, check_solvable counted the matrix this builds
+    cache = _solve_cache(ds, cache, params.metric, params.distance_budget())
     n = ds.n
     # preallocated level stores for sizes 1 .. k-1; level 0 is the implicit
     # empty configuration
@@ -199,8 +200,8 @@ def solve_ekm(
     counts = [1] + [0] * (k - 1)
     store = arrays[k - 1]
     if k > 1:
-        # scoring reads whole rows, so an on-the-fly cache is precomputed here
-        if cache.matrix is None:
+        # scoring reads whole rows, so a passed on-the-fly cache is precomputed here
+        if cache.mode != "precomputed":
             cache = distance_cache(ds, cache.metric, 8 * n * n)
         dt = cache.matrix
         # one scratch allocation per solve, split into the three buffers

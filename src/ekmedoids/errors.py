@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import operator
 
 
 class ExactKMedoidsError(Exception):
@@ -52,3 +54,11 @@ class InstanceTooLarge(ExactKMedoidsError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
+
+
+def check_int(value, name: str) -> int:
+    """Refuse a `name` that is not an integer (2.7, "2"); return it as an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArguments(f"{name} must be an integer, got {value!r}") from None

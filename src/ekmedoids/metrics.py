@@ -23,7 +23,7 @@ from scipy.spatial.distance import cdist
 from .dataset import Dataset
 from .errors import DistanceOverflow, InvalidArguments, ShapeError, UnknownMetric
 
-DEFAULT_CACHE_BUDGET = 2**31  # 2 GiB
+DEFAULT_MEMORY_BUDGET = 2**32  # 4 GiB: every solver's budget unless set
 
 # floats per evaluation row block: 128 KB per buffer, so a chunk's gathers
 # and its running minimum stay in L2 cache.  With 2^16 floats glibc gave
@@ -165,7 +165,14 @@ class DistanceCache:
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.mode not in ("precomputed", "on-the-fly"):
+            raise InvalidArguments(f"unknown distance cache mode {self.mode!r}")
+        if self.mode == "precomputed" and self.matrix is None:
+            raise InvalidArguments("a precomputed distance cache needs its matrix")
         if self.matrix is not None:
+            n = self.dataset.n
+            if np.shape(self.matrix) != (n, n):
+                raise ShapeError(f"a {np.shape(self.matrix)} distance matrix for N={n}")
             _check_finite(self.matrix)
 
     def columns(self, indices) -> np.ndarray:
@@ -180,7 +187,7 @@ class DistanceCache:
 
 
 def distance_cache(
-    ds: Dataset, metric: Metric, budget_bytes: int = DEFAULT_CACHE_BUDGET
+    ds: Dataset, metric: Metric, budget_bytes: int = DEFAULT_MEMORY_BUDGET
 ) -> DistanceCache:
     """Build a distance cache, precomputing the N x N matrix iff 8*N^2 <= budget.
 
@@ -197,6 +204,24 @@ def distance_cache(
     return DistanceCache(ds, metric, "precomputed", mat)
 
 
+def _solve_cache(
+    ds: Dataset, cache: Optional[DistanceCache], metric_name: str,
+    budget_bytes: int = DEFAULT_MEMORY_BUDGET,
+) -> DistanceCache:
+    """The distance cache a solve reads: a passed `cache`, refused unless it
+    was built on `ds`, or else a new one, precomputed iff 8*N^2 <= budget."""
+    if cache is None:
+        return distance_cache(ds, get_metric(metric_name), budget_bytes)
+    _check_cache(ds, cache)
+    return cache
+
+
+def _check_cache(ds: Dataset, cache: DistanceCache) -> None:
+    # a cache of other points would score their distances as this dataset's
+    if cache.dataset is not ds and not np.array_equal(cache.dataset.points, ds.points):
+        raise InvalidArguments("the distance cache was built on another dataset")
+
+
 def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     """Objective values for a batch of medoid index configurations.
 
@@ -206,8 +231,10 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     and medoid position, folds the rows into a running elementwise
     minimum, then sums each length-N row.
     The minimum is exact, so neither chunking nor the order of the fold
-    affects the result bits.  An index outside [0, N) raises IndexError.
+    affects the result bits.  An index outside [0, N) raises IndexError,
+    a cache built on another dataset InvalidArguments.
     """
+    _check_cache(ds, cache)
     configs = np.asarray(configs, dtype=np.int64)
     if configs.ndim != 2:
         raise ShapeError(f"configs must be 2-D, got ndim={configs.ndim}")
@@ -262,5 +289,6 @@ def assign(ds: Dataset, medoids, cache: DistanceCache) -> np.ndarray:
     Labels index into the sorted medoid list; distance ties go to the
     smallest medoid index.
     """
+    _check_cache(ds, cache)
     med = _check_medoids(ds, medoids)
     return np.argmin(cache.columns(med), axis=0)

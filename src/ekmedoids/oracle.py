@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InstanceTooLarge
-from .metrics import DistanceCache, assign, distance_cache, evaluate_batch, evaluate_objective, get_metric
+from .metrics import DistanceCache, _solve_cache, assign, evaluate_batch, evaluate_objective
 from .problem import Solution, SolverParams, check_instance
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
@@ -52,8 +52,7 @@ def solve_exhaustive(
             estimate=total,
         )
     t0 = time.perf_counter()
-    if cache is None:
-        cache = distance_cache(ds, get_metric(params.metric), params.cache_budget_bytes)
+    cache = _solve_cache(ds, cache, params.metric, params.distance_budget())
     n = ds.n
     # closed-form colex rank: rank(c) = sum_i C(c_i, i), 1-based position i
     table = np.array(

@@ -6,17 +6,14 @@ none of them needs another solver's module.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyDataset, InvalidArguments
-from .metrics import DEFAULT_CACHE_BUDGET, DEFAULT_METRIC
-
-DEFAULT_MEMORY_BUDGET = 2**32  # 4 GiB
+from .errors import EmptyDataset, InvalidArguments, check_int
+from .metrics import DEFAULT_MEMORY_BUDGET, DEFAULT_METRIC
 
 # largest configuration count or colex rank a solve may reach
 _INT64_MAX = 2**63 - 1
@@ -24,12 +21,16 @@ _INT64_MAX = 2**63 - 1
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Exact-solver knobs: cluster count, metric name, budgets."""
+    """Exact-solver knobs: cluster count, metric name, memory budget."""
 
     k: int
     metric: str = DEFAULT_METRIC
-    cache_budget_bytes: int = DEFAULT_CACHE_BUDGET
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
+
+    def distance_budget(self) -> int:
+        """Bytes an exact solve's own distance matrix may take.  K = 1 reads
+        each distance row once, so a matrix buys it no speed: 0, on the fly."""
+        return self.memory_budget_bytes if self.k > 1 else 0
 
 
 @dataclass
@@ -45,17 +46,9 @@ class Solution:
     level_sizes: Optional[list[list[int]]] = field(default=None, repr=False)
 
 
-def check_k(k) -> int:
-    """Refuse a K that is not an integer (2.7, "2"); return it as an int."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise InvalidArguments(f"K must be an integer, got {k!r}") from None
-
-
 def check_instance(ds: Dataset, k) -> int:
     """Refuse an empty dataset and any K but an integer in 1 .. N; return K."""
-    k = check_k(k)
+    k = check_int(k, "K")
     if ds.n == 0:
         raise EmptyDataset("cannot cluster an empty dataset")
     if k < 1 or k > ds.n:

@@ -33,6 +33,10 @@ def test_params_defaults_and_validation():
         BaselineParams(clarans_numlocal=0)
     with pytest.raises(InvalidArguments):
         BaselineParams(clarans_maxneighbor=0)
+    for bad in ({"max_iter": 2.5}, {"clarans_numlocal": 2.5},
+                {"clarans_maxneighbor": 2.5}, {"seed": 1.5}, {"seed": -1}):
+        with pytest.raises(InvalidArguments):
+            BaselineParams(**bad)
 
 
 @pytest.mark.parametrize("algo", ALL)
@@ -52,6 +56,24 @@ def test_argument_validation(name):
             run_algorithm(name, ds, k)
     with pytest.raises(EmptyDataset):
         run_algorithm(name, Dataset(points=np.empty((0, 1))), 1)
+
+
+@pytest.mark.parametrize("name", COMPARE_ALGORITHMS)
+def test_cache_of_another_dataset_refused(name):
+    # a cache of 14 points or of 10 other points, in either mode, would
+    # score the wrong distances; equal points in a copy are the same data
+    ds = synthetic(10, 2, 2, seed=1)
+    metric = get_metric("sqeuclidean")
+    for k in (1, 2):
+        for other in (synthetic(14, 2, 2, seed=1), synthetic(10, 2, 2, seed=2)):
+            for budget in (2**31, 0):
+                with pytest.raises(InvalidArguments):
+                    run_algorithm(name, ds, k, cache=distance_cache(other, metric, budget))
+        twin = distance_cache(Dataset(points=ds.points.copy()), metric)
+        want = run_algorithm(name, ds, k)
+        got = run_algorithm(name, ds, k, cache=twin)
+        assert got.objective == want.objective
+        assert got.medoid_indices.tolist() == want.medoid_indices.tolist()
 
 
 def test_pam_toy_reaches_optimum(toy):

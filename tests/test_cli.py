@@ -89,6 +89,14 @@ def test_invalid_baseline_flag_exits_2(toy_csv, capsys, flag):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["cluster", "compare"])
+def test_negative_seed_exits_2(toy_csv, capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--input", toy_csv, "--k", "2", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_missing_file_exits_3(capsys):
     code = run(["cluster", "--input", "/nonexistent/x.csv", "--k", "2"])
     assert code == 3

@@ -67,6 +67,11 @@ def test_load_csv_delimiter(tmp_path):
     assert ds.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_load_csv_rejects_long_delimiter(tmp_path):
+    with pytest.raises(InvalidArguments):
+        load_csv(write(tmp_path, "1;;2\n"), delimiter=";;")
+
+
 def test_integer_cells_promoted(tmp_path):
     ds = load_csv(write(tmp_path, "7\n-3\n"))
     assert ds.points.dtype == np.float64
@@ -184,6 +189,6 @@ def test_synthetic_shape_and_determinism():
 
 
 def test_synthetic_validates_arguments():
-    for bad in ((0, 2, 1, 0), (10, 0, 1, 0), (10, 2, 0, 0), (5, 2, 6, 0)):
+    for bad in ((0, 2, 1, 0), (10, 0, 1, 0), (10, 2, 0, 0), (5, 2, 6, 0), (10.5, 2, 1, 0)):
         with pytest.raises(InvalidArguments):
             synthetic(*bad)

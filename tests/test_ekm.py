@@ -209,18 +209,19 @@ def test_memory_estimate_counts_transpose_only_for_k_above_one():
 
 
 def test_k1_memory_estimate_bounds_the_solve():
-    # K = 1 holds two `evaluate_batch` chunks of distance rows, the N
-    # candidates and their N objectives; the prebuilt matrix is not its own
+    # K = 1 holds three `evaluate_batch` chunks of distance rows, the N
+    # candidates and their N objectives, with a prebuilt matrix (not its
+    # own) and without one (it then builds no matrix)
     n = 4000
     ds = synthetic(n, 2, 1, seed=0)
-    cache = cache_for(ds)
-    tracemalloc.start()
-    try:
-        solve_ekm(ds, SolverParams(k=1), cache=cache)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= estimate_solver_bytes(n, 1) + 16 * 1024
+    for cache in (cache_for(ds), None):
+        tracemalloc.start()
+        try:
+            solve_ekm(ds, SolverParams(k=1), cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_solver_bytes(n, 1) + 16 * 1024
 
 
 @pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])

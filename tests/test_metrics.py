@@ -130,6 +130,32 @@ def test_cache_modes_agree_bit_exactly():
     assert np.array_equal(pre.columns(idx), fly.columns(idx))
 
 
+@pytest.mark.parametrize(
+    "mode, matrix, error",
+    [
+        ("lazy", None, InvalidArguments),
+        ("precomputed", None, InvalidArguments),
+        ("precomputed", np.zeros((5, 4)), ShapeError),
+    ],
+    ids=["unknown-mode", "no-matrix", "not-n-by-n"],
+)
+def test_cache_refuses_malformed_fields(mode, matrix, error):
+    ds = synthetic(5, 2, 1, seed=0)
+    with pytest.raises(error):
+        DistanceCache(ds, sq_euclidean, mode, matrix)
+
+
+def test_evaluation_refuses_cache_of_another_dataset():
+    ds = synthetic(10, 2, 2, seed=1)
+    cache = cache_for(synthetic(14, 2, 2, seed=1))
+    with pytest.raises(InvalidArguments):
+        evaluate_batch(ds, [[0, 1]], cache)
+    with pytest.raises(InvalidArguments):
+        evaluate_objective(ds, [0, 1], cache)
+    with pytest.raises(InvalidArguments):
+        assign(ds, [0, 1], cache)
+
+
 def test_evaluate_objective_all_points_zero():
     ds = synthetic(12, 2, 3, seed=1)
     c = cache_for(ds)
@@ -301,12 +327,15 @@ def test_evaluate_batch_leaves_columns_unwritten():
 # finite points whose squared distances overflow to inf
 OVERFLOW_POINTS = [1e200, 2e200, -1e200, 5.0]
 
+# each solver gets a prebuilt cache, precomputed or on the fly by `budget`
 SOLVERS = {
-    "ekm": lambda ds, budget: solve_ekm(ds, SolverParams(k=2, cache_budget_bytes=budget)),
-    "oracle": lambda ds, budget: solve_exhaustive(
-        ds, SolverParams(k=2, cache_budget_bytes=budget)
+    "ekm": lambda ds, budget: solve_ekm(
+        ds, SolverParams(k=2), cache=distance_cache(ds, sq_euclidean, budget)
     ),
-    "pam": lambda ds, budget: pam(ds, 2, cache_budget_bytes=budget),
+    "oracle": lambda ds, budget: solve_exhaustive(
+        ds, SolverParams(k=2), cache=distance_cache(ds, sq_euclidean, budget)
+    ),
+    "pam": lambda ds, budget: pam(ds, 2, cache=distance_cache(ds, sq_euclidean, budget)),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,3 +142,18 @@ def test_partial_last_block(monkeypatch, block, n, k):
     assert got.evaluated_configurations == math.comb(n, k)
     assert got.objective.hex() == want.objective.hex()
     assert got.medoid_indices.tolist() == want.medoid_indices.tolist()
+
+
+def test_k1_builds_no_distance_matrix():
+    # K = 1 reads each distance row once, so without a passed cache the
+    # oracle, like the solver, scores on the fly
+    n = 4000
+    ds = synthetic(n, 2, 1, seed=0)
+    tracemalloc.start()
+    try:
+        sol = solve_exhaustive(ds, SolverParams(k=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n // 100
+    assert sol.objective.hex() == solve_ekm(ds, SolverParams(k=1)).objective.hex()
