@@ -107,10 +107,15 @@ def run_scaling(
     rather than aborting the sweep.
     """
     k = check_int(k, "K")
+    reps = check_int(reps, "reps")
+    seed = check_int(seed, "seed")
     if k < 1:
         raise InvalidArguments(f"need K >= 1, got {k}")
     if reps < 0:
         raise InvalidArguments(f"need reps >= 0, got {reps}")
+    if seed < 0:
+        # SeedSequence takes only non-negative entropy
+        raise InvalidArguments(f"need seed >= 0, got {seed}")
     sizes = list(sizes)
     if any(b < a for a, b in zip(sizes, sizes[1:])):
         raise InvalidArguments("sizes must be ascending")

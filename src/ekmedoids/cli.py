@@ -184,6 +184,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.subcommand == "bench":
         if args.reps < 0:
             parser.error("--reps must be >= 0")
+        if args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
         try:
             sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         except ValueError:

@@ -58,10 +58,12 @@ def estimate_solver_bytes(n: int, k: int) -> int:
 
     Counts the level stores of partials of sizes 1 .. k-1 and, for K >= 2,
     the N x N distance matrix scoring reads plus the scoring scratch.
-    K = 1 holds no matrix: it scores through `evaluate_batch` on the fly,
-    where a chunk's `pairwise` block and its transposed copy are both
-    alive while the previous chunk is, so three chunks of distance rows
-    are counted, plus the N candidates and their N objectives.
+    K = 1 holds no matrix: it scores through `evaluate_batch` on the fly.
+    For a metric that does not declare itself symmetric, a chunk's
+    `pairwise` block and its transposed copy are both alive while the
+    previous chunk is, so three chunks of distance rows are counted (an
+    upper bound for symmetric metrics, which make no copy), plus the N
+    candidates and their N objectives.
     """
     return _solver_bytes(n, k, _plan(n, k)[1])
 

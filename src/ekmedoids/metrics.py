@@ -45,13 +45,16 @@ class Metric:
 
     `pairwise(X, Y)` returns the (len(X), len(Y)) matrix of distances and is
     the single source of truth; the scalar form evaluates `pairwise` on
-    1-row matrices so both agree bit-exactly.  No symmetry or triangle
-    inequality is assumed, only d(x, x) = 0 and finite nonnegative values
-    on finite inputs.
+    1-row matrices so both agree bit-exactly.  No triangle inequality is
+    assumed, only d(x, x) = 0 and finite nonnegative values on finite
+    inputs.  Symmetry is used only when a metric declares it: `symmetric`
+    promises d(x, y) == d(y, x) bit for bit, which the built-in metrics
+    keep and metrics from `register_metric` are not assumed to.
     """
 
     name: str
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    symmetric: bool = False
 
     def __call__(self, x, y) -> float:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -64,7 +67,9 @@ class Metric:
         return float(self.pairwise(x, y)[0, 0])
 
 
-def _cdist_pairwise(scipy_name: str):
+def _cdist_metric(name: str, scipy_name: str) -> Metric:
+    # scipy computes each of these distances from the elementwise |x - y|,
+    # so d(x, y) and d(y, x) agree bit for bit
     def pairwise(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
         Y = np.ascontiguousarray(Y, dtype=np.float64)
@@ -74,7 +79,7 @@ def _cdist_pairwise(scipy_name: str):
             )
         return cdist(X, Y, metric=scipy_name)
 
-    return pairwise
+    return Metric(name, pairwise, symmetric=True)
 
 
 def _generic_pairwise(fn: Callable) -> Callable:
@@ -122,9 +127,9 @@ def list_metrics() -> list[str]:
     return sorted(_REGISTRY)
 
 
-register_metric("sqeuclidean", pairwise=_cdist_pairwise("sqeuclidean"))
-register_metric("euclidean", pairwise=_cdist_pairwise("euclidean"))
-register_metric("manhattan", pairwise=_cdist_pairwise("cityblock"))
+_REGISTRY["sqeuclidean"] = _cdist_metric("sqeuclidean", "sqeuclidean")
+_REGISTRY["euclidean"] = _cdist_metric("euclidean", "euclidean")
+_REGISTRY["manhattan"] = _cdist_metric("manhattan", "cityblock")
 
 DEFAULT_METRIC = "sqeuclidean"
 
@@ -154,9 +159,12 @@ class DistanceCache:
     A precomputed `matrix` is medoid-major, `matrix[j, i] = d(x_i, x_j)`:
     row j holds every point's distance to candidate medoid j, contiguously.
     Lookups return identical values in either mode; `columns` is the bulk
-    access path used by all solvers.  Distances are checked where they are
-    made (the precomputed matrix once, on-the-fly blocks as produced), so
-    every objective a solver sees is finite.
+    access path used by all solvers.  A metric that declares itself
+    symmetric is evaluated medoids first, so its rows come out in this
+    layout; any other metric is evaluated points first and transposed.
+    Distances are checked where they are made (the precomputed matrix
+    once, on-the-fly blocks as produced), so every objective a solver sees
+    is finite.
     """
 
     dataset: Dataset
@@ -182,8 +190,11 @@ class DistanceCache:
         if self.mode == "precomputed":
             return self.matrix[idx]
         pts = self.dataset.points
-        block = self.metric.pairwise(pts, pts[idx])
-        return _check_finite(np.ascontiguousarray(block.T))
+        if self.metric.symmetric:
+            block = self.metric.pairwise(pts[idx], pts)
+        else:
+            block = self.metric.pairwise(pts, pts[idx]).T
+        return _check_finite(np.ascontiguousarray(block))
 
 
 def distance_cache(
@@ -191,8 +202,10 @@ def distance_cache(
 ) -> DistanceCache:
     """Build a distance cache, precomputing the N x N matrix iff 8*N^2 <= budget.
 
-    Each row block is `pairwise(points, medoids)` transposed: no metric is
-    assumed symmetric.
+    A symmetric metric fills the upper triangle by row blocks,
+    `pairwise(medoids, later points)`, and mirrors each block into the
+    lower triangle, so each distance is computed once.  Any other metric
+    fills each row block with `pairwise(points, medoids)` transposed.
     """
     n, pts = ds.n, ds.points
     if 8 * n * n > budget_bytes:
@@ -200,7 +213,13 @@ def distance_cache(
     mat = np.empty((n, n))
     step = max(1, _BUILD_ELEMS // max(1, n))
     for lo in range(0, n, step):
-        mat[lo : lo + step] = metric.pairwise(pts, pts[lo : lo + step]).T
+        hi = min(n, lo + step)
+        if metric.symmetric:
+            block = metric.pairwise(pts[lo:hi], pts[lo:])
+            mat[lo:hi, lo:] = block
+            mat[hi:, lo:hi] = block[:, hi - lo :].T
+        else:
+            mat[lo:hi] = metric.pairwise(pts, pts[lo:hi]).T
     return DistanceCache(ds, metric, "precomputed", mat)
 
 

@@ -63,6 +63,17 @@ def test_run_scaling_refuses_non_integer_k(k):
         run_scaling(k, [10], reps=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"seed": -1}, "seed >= 0"), ({"seed": 1.5}, "seed must be an integer"),
+     ({"reps": 1.5}, "reps must be an integer")],
+    ids=["negative-seed", "float-seed", "float-reps"],
+)
+def test_run_scaling_refuses_bad_seed_and_reps(kwargs, match):
+    with pytest.raises(InvalidArguments, match=match):
+        run_scaling(2, [10, 12], **{"reps": 1, "seed": 0, **kwargs})
+
+
 def test_run_scaling_skips_infeasible_with_warning(monkeypatch):
     # a refused instance is refused before its distance cache is built
     builds = []

@@ -217,6 +217,14 @@ def test_bench_bad_sizes_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_bench_negative_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "scaling", "--k", "2", "--sizes", "10,12", "--reps", "1",
+             "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+
+
 def test_console_script_entry_point(toy_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "ekmedoids.cli", "cluster", "--input", toy_csv,

@@ -11,6 +11,7 @@ from ekmedoids import (
     DistanceCache,
     DistanceOverflow,
     InvalidArguments,
+    Metric,
     ShapeError,
     SolverParams,
     UnknownMetric,
@@ -62,6 +63,7 @@ def test_register_custom_metric():
     register_metric("l1_halved", lambda x, y: 0.5 * np.abs(np.subtract(x, y)).sum())
     m = get_metric("l1_halved")
     assert m([0.0], [4.0]) == 2.0
+    assert not m.symmetric  # a registered metric is never assumed symmetric
 
 
 def test_known_metric_values():
@@ -106,11 +108,14 @@ def test_cache_threshold():
     assert c.matrix is None
 
 
+BUILTIN_METRICS = ("sqeuclidean", "euclidean", "manhattan")
+
+
 def test_cache_lookup_equals_direct_metric():
     # "asymmetric" (see conftest) pins the orientation: row j of columns
     # holds d(x_i, x_j), point first
     ds = synthetic(40, 3, 2, seed=3)
-    for name in ("manhattan", "asymmetric"):
+    for name in BUILTIN_METRICS + ("asymmetric",):
         m = get_metric(name)
         pre = distance_cache(ds, m, 2**31)
         fly = distance_cache(ds, m, 0)
@@ -122,12 +127,65 @@ def test_cache_lookup_equals_direct_metric():
             assert fly.columns([j])[0, i] == direct
 
 
+def test_only_builtin_metrics_declare_symmetry():
+    assert all(get_metric(name).symmetric for name in BUILTIN_METRICS)
+    assert not get_metric("asymmetric").symmetric
+
+
+# rows per build block, fixed by setting the block size to STEP * N floats
+STEP = 8
+
+
+@pytest.mark.parametrize("d", [1, 2, 48])
+@pytest.mark.parametrize("n", [1, 2, STEP - 1, STEP, STEP + 1, 3 * STEP + 7])
+@pytest.mark.parametrize("name", BUILTIN_METRICS)
+def test_half_triangle_build_equals_full_build(monkeypatch, name, n, d):
+    # a symmetric metric computes the upper triangle and mirrors it; the
+    # bits must be those of the full points-first build, transposed
+    ds = Dataset(points=np.random.default_rng(n * d).normal(size=(n, d)) * 1e3)
+    m = get_metric(name)
+    want = np.ascontiguousarray(m.pairwise(ds.points, ds.points).T)
+    monkeypatch.setattr(metrics, "_BUILD_ELEMS", STEP * n)
+    got = distance_cache(ds, m, 2**31).matrix
+    assert got.tobytes() == want.tobytes()
+
+
+def _counting_metric(symmetric: bool) -> tuple[Metric, list]:
+    pairs = []
+
+    def pairwise(X, Y):
+        pairs.append(len(X) * len(Y))
+        return get_metric("manhattan").pairwise(X, Y)
+
+    return Metric("counting", pairwise, symmetric=symmetric), pairs
+
+
+@pytest.mark.parametrize("block_elems", [STEP * 100, metrics._BUILD_ELEMS])
+def test_symmetric_build_computes_each_distance_once(monkeypatch, block_elems):
+    # a count of evaluated pairs, not a timing: the symmetric build covers
+    # the upper triangle plus the lower halves of its diagonal blocks
+    monkeypatch.setattr(metrics, "_BUILD_ELEMS", block_elems)
+    ds = synthetic(100, 3, 2, seed=6)
+    n, step = ds.n, max(1, block_elems // ds.n)
+    sym, sym_pairs = _counting_metric(symmetric=True)
+    full, full_pairs = _counting_metric(symmetric=False)
+    got = distance_cache(ds, sym, 2**31).matrix
+    assert got.tobytes() == distance_cache(ds, full, 2**31).matrix.tobytes()
+    assert sum(sym_pairs) <= n * (n + step) // 2
+    assert sum(full_pairs) == n * n
+
+
 def test_cache_modes_agree_bit_exactly():
+    # on-the-fly rows, single or chunked, carry the precomputed rows' bits
     ds = synthetic(25, 4, 3, seed=7)
-    pre = cache_for(ds, budget=2**31)
-    fly = cache_for(ds, budget=0)
-    idx = np.array([0, 5, 24])
-    assert np.array_equal(pre.columns(idx), fly.columns(idx))
+    chunks = [[j] for j in range(ds.n)] + [[0, 5, 24], list(range(ds.n))[::-1]]
+    for name in BUILTIN_METRICS + ("asymmetric",):
+        pre = cache_for(ds, name, 2**31)
+        fly = cache_for(ds, name, 0)
+        for idx in chunks:
+            rows = fly.columns(idx)
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            assert rows.tobytes() == pre.columns(idx).tobytes()
 
 
 @pytest.mark.parametrize(
