@@ -136,8 +136,10 @@ def machine() -> dict:
                        if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
-    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+    # the CPUs the runs may use: the package runs its distance blocks on each
+    return {"nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)), "cpu": cpu,
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
 
 
 def main() -> int:

@@ -36,8 +36,10 @@ from .dataset import Dataset
 from .errors import DistanceOverflow, InstanceTooLarge, RankOverflow
 from .metrics import (
     DistanceCache,
+    _build_rows,
     _chunk_rows,
     _solve_cache,
+    _threads,
     assign,
     distance_cache,
     evaluate_batch,
@@ -57,23 +59,31 @@ def estimate_solver_bytes(n: int, k: int) -> int:
     """Upper estimate of solver-owned memory for an (n, k) instance.
 
     Counts the level stores of partials of sizes 1 .. k-1 and, for K >= 2,
-    the N x N distance matrix scoring reads plus the scoring scratch.
-    K = 1 holds no matrix: it scores through `evaluate_batch` on the fly.
-    For a metric that does not declare itself symmetric, a chunk's
-    `pairwise` block and its transposed copy are both alive while the
-    previous chunk is, so three chunks of distance rows are counted (an
-    upper bound for symmetric metrics, which make no copy), plus the N
-    candidates and their N objectives.
+    the N x N distance matrix scoring reads, the row blocks its build has
+    in flight (one per build thread), the scoring scratch with numpy's
+    buffers for it, and the round plan.  K = 1 holds no matrix: it scores
+    through `evaluate_batch` on the fly, with one chunk of distance rows
+    in flight per thread.  One more chunk is counted for a metric that
+    does not declare itself symmetric: it runs on one thread, and its
+    chunk's `pairwise` block and transposed copy are alive together.
+    K = 1 also holds the N candidates and their N objectives.
     """
-    return _solver_bytes(n, k, _plan(n, k)[1])
+    return _solver_bytes(n, k, *_plan(n, k))
 
 
-def _solver_bytes(n: int, k: int, scratch: tuple[int, ...]) -> int:
-    """`estimate_solver_bytes` for scratch sizes already planned."""
+def _solver_bytes(n: int, k: int, rounds: np.ndarray, scratch: tuple[int, ...]) -> int:
+    """`estimate_solver_bytes` for a plan already made."""
     levels = sum(math.comb(n, j) * j * 8 for j in range(1, k))
     if k == 1:
-        return levels + 8 * (3 * _chunk_rows(n) * n + 2 * n)
-    return levels + 8 * n * n + sum(scratch) * 8
+        rows = _chunk_rows(n)
+        chunks = _threads(-(-n // rows)) + 1
+        return levels + 8 * (chunks * rows * n + 2 * n)
+    rows = _build_rows(n)
+    build = _threads(-(-n // rows)) * rows * n
+    # numpy buffers the broadcast `minimum` of scoring: at most three
+    # operands of `getbufsize()` floats
+    ufunc = 3 * np.getbufsize()
+    return levels + 8 * (n * n + build + sum(scratch) + ufunc) + rounds.nbytes
 
 
 def _batches(n: int, k: int):
@@ -101,18 +111,20 @@ def _block_shape(n: int, m: int, p0: int) -> tuple[int, int]:
     return qb, min(m, max(1, _CHUNK_ELEMS // (qb * n)))
 
 
-def _plan(n: int, k: int) -> tuple[dict, tuple[int, ...]]:
-    """The scoring rounds of a solve, keyed by the step after which each
-    runs, and the floats of scratch they need for the scoring block, the
-    row-min and the gather buffer.  K = 1 has neither."""
+def _plan(n: int, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The scoring rounds of a solve, one (p, lo, hi, p0, qb, mb) row per
+    round in step order, p the step after which it runs, and the floats
+    of scratch they need for the scoring block, the row-min and the gather
+    buffer.  K = 1 has neither."""
     if k == 1:
-        return {}, ()
-    rounds = {
-        p: (lo, hi, p0, *_block_shape(n, hi - lo, p0))
-        for p, lo, hi, p0 in _batches(n, k)
-    }
-    rows = max(mb for *_, mb in rounds.values()) * n
-    block = max(qb * mb for *_, qb, mb in rounds.values()) * n
+        return np.empty((0, 6), dtype=np.int64), ()
+    rounds = np.array(
+        [(p, lo, hi, p0, *_block_shape(n, hi - lo, p0)) for p, lo, hi, p0 in _batches(n, k)],
+        dtype=np.int64,
+    )
+    qb, mb = rounds[:, 4], rounds[:, 5]
+    rows = int(mb.max()) * n
+    block = int((qb * mb).max()) * n
     return rounds, (block, rows, rows if k > 2 else 0)
 
 
@@ -154,7 +166,7 @@ def _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
             yield values, q0, r0
 
 
-def check_solvable(ds: Dataset, params: SolverParams) -> tuple[int, dict, tuple[int, ...]]:
+def check_solvable(ds: Dataset, params: SolverParams) -> tuple[int, np.ndarray, tuple[int, ...]]:
     """Make every refusal of `solve_ekm` (the instance, `RankOverflow`, the
     memory budget) before any distance is computed; return K and the plan."""
     k = check_instance(ds, params.k)
@@ -164,7 +176,7 @@ def check_solvable(ds: Dataset, params: SolverParams) -> tuple[int, dict, tuple[
             f"configuration counter"
         )
     rounds, sizes = _plan(ds.n, k)
-    estimate = _solver_bytes(ds.n, k, sizes)
+    estimate = _solver_bytes(ds.n, k, rounds, sizes)
     if estimate > params.memory_budget_bytes:
         raise InstanceTooLarge(
             f"estimated {estimate} bytes of solver memory "
@@ -213,6 +225,8 @@ def solve_ekm(
     best_val = math.inf
     best_rank = best_row = best_q = -1
     evaluated = 0
+    r = 0  # the next round of the plan, run after step `at`
+    at = int(rounds[0, 0]) if len(rounds) else n
     level_log: Optional[list[list[int]]] = [] if record_level_sizes else None
     for p in range(n):
         # extend the store: append each size j-1 partial + p to level j,
@@ -229,9 +243,11 @@ def solve_ekm(
             counts[j] += m
         if level_log is not None:
             level_log.append(list(counts))
-        if p not in rounds:
+        if p != at:
             continue
-        lo, hi, p0, qb, mb = rounds[p]
+        lo, hi, p0, qb, mb = rounds[r, 1:].tolist()
+        r += 1
+        at = int(rounds[r, 0]) if r < len(rounds) else n
         evaluated += int((n - 1 - store[lo:hi, -1]).sum())
         for values, q0, r0 in _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
             flat = int(values.argmin())

@@ -10,10 +10,18 @@ funnels through :func:`evaluate_batch` or helpers that reproduce its
 arithmetic exactly, so cached and uncached evaluation, the fused solver,
 and the exhaustive oracle all agree bit-for-bit; ties between medoid sets
 can be broken by float equality.
+
+With a built-in metric, the matrix build and on-the-fly evaluation run
+their row blocks on every CPU the process may use (see `_map_blocks`).
+Block boundaries do not depend on the thread count, and each block writes
+its own cells, so every distance and objective has the same bits on any
+number of threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,6 +45,10 @@ _MIN_CHUNK_CONFIGS = 8
 
 # floats per block of the matrix build; small blocks keep each transpose in cache
 _BUILD_ELEMS = 1 << 18
+
+# threads of a parallel row-block map; None: one per CPU the process may
+# run on (`taskset` limits them)
+_THREADS: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,67 @@ _REGISTRY["manhattan"] = _cdist_metric("manhattan", "cityblock")
 
 DEFAULT_METRIC = "sqeuclidean"
 
+# the metrics whose row blocks run on several threads, the three built-in
+# ones: scipy's `cdist` releases the GIL and keeps no state.  A metric from
+# `register_metric` may do neither.
+_THREADED = tuple(_REGISTRY.values())
+
+
+def _threads(blocks: int) -> int:
+    """Threads a parallel map over `blocks` row blocks runs on."""
+    cpus = _THREADS
+    if cpus is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks))
+
+
+def _map_blocks(run: Callable[[int], None], starts: range, parallel: bool) -> None:
+    """Call `run(lo)` for each block start in `starts`, on `_threads`
+    threads when `parallel`, else in order on the calling thread.
+
+    Threads take blocks in order and one at a time; they start here and
+    are joined before the call returns.  Once a block fails no further
+    block is handed out, and every earlier block has been, so the error
+    raised is the one from the lowest failing block, as in a serial run.
+    """
+    threads = _threads(len(starts)) if parallel else 1
+    if threads == 1:
+        for lo in starts:
+            run(lo)
+        return
+    todo = iter(enumerate(starts))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failed: dict[int, BaseException] = {}
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                i, lo = next(todo, (-1, 0))
+            if i < 0:
+                return
+            try:
+                run(lo)
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    failed[i] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
+
 
 def _check_finite(block: np.ndarray) -> np.ndarray:
     """Refuse distances from which an objective could overflow.
@@ -211,8 +284,9 @@ def distance_cache(
     if 8 * n * n > budget_bytes:
         return DistanceCache(ds, metric, "on-the-fly")
     mat = np.empty((n, n))
-    step = max(1, _BUILD_ELEMS // max(1, n))
-    for lo in range(0, n, step):
+    step = _build_rows(n)
+
+    def build(lo: int) -> None:
         hi = min(n, lo + step)
         if metric.symmetric:
             block = metric.pairwise(pts[lo:hi], pts[lo:])
@@ -220,7 +294,14 @@ def distance_cache(
             mat[hi:, lo:hi] = block[:, hi - lo :].T
         else:
             mat[lo:hi] = metric.pairwise(pts, pts[lo:hi]).T
+
+    _map_blocks(build, range(0, n, step), metric in _THREADED)
     return DistanceCache(ds, metric, "precomputed", mat)
+
+
+def _build_rows(n: int) -> int:
+    """Matrix rows per block of the build at N points."""
+    return max(1, min(n, _BUILD_ELEMS // max(1, n)))
 
 
 def _solve_cache(
@@ -250,8 +331,11 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     and medoid position, folds the rows into a running elementwise
     minimum, then sums each length-N row.
     The minimum is exact, so neither chunking nor the order of the fold
-    affects the result bits.  An index outside [0, N) raises IndexError,
-    a cache built on another dataset InvalidArguments.
+    affects the result bits.  An on-the-fly cache of a built-in metric
+    scores its chunks on several threads, each holding one chunk at a
+    time; a precomputed cache's gathers hold the GIL, so they run on the
+    calling thread.  An index outside [0, N) raises IndexError, a cache
+    built on another dataset InvalidArguments.
     """
     _check_cache(ds, cache)
     configs = np.asarray(configs, dtype=np.int64)
@@ -263,7 +347,8 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
         return out
     _check_range(ds, configs)
     step = _chunk_rows(ds.n)
-    for lo in range(0, m, step):
+
+    def score(lo: int) -> None:
         sub = configs[lo : lo + step]
         acc = cache.columns(sub[:, 0])
         if k > 1:
@@ -272,6 +357,9 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
         for j in range(2, k):
             np.minimum(acc, cache.columns(sub[:, j]), out=acc)
         out[lo : lo + sub.shape[0]] = np.add.reduce(acc, axis=1)
+
+    parallel = cache.mode == "on-the-fly" and cache.metric in _THREADED
+    _map_blocks(score, range(0, m, step), parallel)
     return out
 
 

@@ -54,9 +54,11 @@ def solve_exhaustive(
     t0 = time.perf_counter()
     cache = _solve_cache(ds, cache, params.metric, params.distance_budget())
     n = ds.n
-    # closed-form colex rank: rank(c) = sum_i C(c_i, i), 1-based position i
+    # closed-form colex rank: rank(c) = sum_i C(c_i, i), 1-based position i.
+    # No term of a valid combination's rank exceeds the rank, which is below
+    # C(N, K), so entries are capped there: C(70, 35) would not fit int64
     table = np.array(
-        [[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)],
+        [[min(math.comb(i, j), total) for j in range(k + 1)] for i in range(n + 1)],
         dtype=np.int64,
     )
     positions = np.arange(1, k + 1)

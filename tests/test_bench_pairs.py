@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,10 @@ def test_claim_met_needs_correct_runs_and_no_more_failures():
     assert not bench_pairs.claim_met(workload(PARENT, FASTER, correct=False), "oracle_s")
     assert not bench_pairs.claim_met(workload(PARENT, FASTER, failed=(0, 1)), "oracle_s")
     assert bench_pairs.claim_met(workload(PARENT, FASTER, failed=(2, 1)), "oracle_s")
+
+
+def test_machine_records_the_cpus_the_runs_may_use():
+    m = bench_pairs.machine()
+    assert m["nproc"] == os.cpu_count()
+    assert m["affinity"] == len(os.sched_getaffinity(0))
+    assert 1 <= m["affinity"] <= m["nproc"]

@@ -21,7 +21,7 @@ from ekmedoids import (
     solve_exhaustive,
     synthetic,
 )
-from ekmedoids import ekm
+from ekmedoids import ekm, metrics
 from ekmedoids.ekm import estimate_solver_bytes
 from ekmedoids.metrics import evaluate_batch
 
@@ -222,6 +222,29 @@ def test_k1_memory_estimate_bounds_the_solve():
         finally:
             tracemalloc.stop()
         assert peak <= estimate_solver_bytes(n, 1) + 16 * 1024
+
+
+@pytest.mark.parametrize(
+    "n, k, chunk",
+    [(800, 2, None), (50, 3, None), (12, 5, None), (800, 2, 1 << 12)],
+    ids=["n800-k2", "n50-k3", "n12-k5", "build-bound"],
+)
+def test_memory_estimate_bounds_a_solve_that_builds_its_matrix(monkeypatch, n, k, chunk):
+    # with no cache passed, a K >= 2 solve builds its matrix, a block in
+    # flight on each of two threads, then scores it: numpy buffers the
+    # broadcast minimum, and the round plan is alive throughout.  Small
+    # scoring blocks leave the build's blocks to set the peak
+    monkeypatch.setattr(metrics, "_THREADS", 2)
+    if chunk:
+        monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
+    ds = synthetic(n, 2, k, seed=0)
+    tracemalloc.start()
+    try:
+        solve_ekm(ds, SolverParams(k=k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate_solver_bytes(n, k) + 16 * 1024
 
 
 @pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])

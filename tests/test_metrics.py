@@ -1,4 +1,6 @@
 import itertools
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -421,3 +423,120 @@ def test_large_finite_distances_accepted():
     assert np.isfinite(a.objective)
     assert a.objective == b.objective
     assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
+
+
+# --- the parallel row-block map ---------------------------------------------
+
+
+def _matrix_and_batches(ds, name):
+    """A precomputed matrix, and `evaluate_batch` over K = 1 and K = 3 on
+    an on-the-fly and a precomputed cache, all as bytes."""
+    pre = cache_for(ds, name, 2**31)
+    fly = cache_for(ds, name, 0)
+    one = np.arange(ds.n)[:, None]
+    three = np.array(list(itertools.combinations(range(ds.n), 3)))[::7]
+    got = [pre.matrix.tobytes()]
+    for cache in (fly, pre):
+        got += [evaluate_batch(ds, c, cache).tobytes() for c in (one, three)]
+    return got
+
+
+@pytest.mark.parametrize("name", BUILTIN_METRICS)
+def test_threads_do_not_change_bits(monkeypatch, name):
+    # 8-row build blocks and 16-config chunks make each map many blocks
+    monkeypatch.setattr(metrics, "_BUILD_ELEMS", 8 * 61)
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMS", 16 * 61)
+    ds = Dataset(points=np.random.default_rng(61).normal(size=(61, 5)) * 1e3)
+    monkeypatch.setattr(metrics, "_THREADS", 1)
+    serial = _matrix_and_batches(ds, name)
+    monkeypatch.setattr(metrics, "_THREADS", 3)
+    assert _matrix_and_batches(ds, name) == serial
+
+
+def test_builtin_metrics_compute_on_several_threads(monkeypatch):
+    # a slowed `cdist` makes the blocks overlap, so every thread takes some
+    threads = set()
+    cdist = metrics.cdist
+
+    def slow_cdist(*args, **kwargs):
+        threads.add(threading.get_ident())
+        time.sleep(0.002)
+        return cdist(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "cdist", slow_cdist)
+    monkeypatch.setattr(metrics, "_THREADS", 3)
+    ds = synthetic(40, 2, 2, seed=9)
+    monkeypatch.setattr(metrics, "_BUILD_ELEMS", 4 * ds.n)
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMS", 8 * ds.n)
+    distance_cache(ds, sq_euclidean, 2**31)
+    assert len(threads) == 3
+    threads.clear()
+    evaluate_batch(ds, np.arange(200).reshape(-1, 1) % ds.n, cache_for(ds, budget=0))
+    assert len(threads) == 3
+    # a single block runs where it is called
+    threads.clear()
+    evaluate_objective(ds, [3], cache_for(ds, budget=0))
+    assert threads == {threading.get_ident()}
+
+
+def test_failing_late_block_raises_distance_overflow(monkeypatch):
+    # `cdist` overflows only for the rows of point 57, in the chunk of
+    # configs 56 .. 63 (the eighth of 13); the threads are gone afterwards
+    ds = Dataset(points=np.random.default_rng(57).normal(size=(100, 2)))
+    monkeypatch.setattr(metrics, "_CHUNK_ELEMS", 8 * ds.n)
+    cdist = metrics.cdist
+
+    def cdist_57(X, Y, metric):
+        out = cdist(X, Y, metric)
+        out[(X == ds.points[57]).all(axis=1)] = np.inf
+        return out
+
+    monkeypatch.setattr(metrics, "cdist", cdist_57)
+    monkeypatch.setattr(metrics, "_THREADS", 3)
+    cache = cache_for(ds, budget=0)
+    before = threading.active_count()
+    with pytest.raises(DistanceOverflow):
+        evaluate_batch(ds, np.arange(ds.n)[:, None], cache)
+    assert threading.active_count() == before
+    assert np.isfinite(evaluate_batch(ds, np.arange(56)[:, None], cache)).all()
+
+
+def test_map_raises_the_lowest_failing_block(monkeypatch):
+    # block 9 fails first, block 5 later: the error is block 5's, as in a
+    # serial run; every earlier block ran, and later ones stop being handed out
+    monkeypatch.setattr(metrics, "_THREADS", 3)
+    done = []
+
+    def run(lo):
+        if lo == 5:
+            time.sleep(0.05)
+            raise DistanceOverflow("block 5")
+        if lo == 9:
+            raise DistanceOverflow("block 9")
+        done.append(lo)
+
+    before = threading.active_count()
+    with pytest.raises(DistanceOverflow, match="block 5"):
+        metrics._map_blocks(run, range(40), parallel=True)
+    assert threading.active_count() == before
+    assert set(range(5)) <= set(done)
+    assert max(done) < 20
+
+
+def test_registered_metric_runs_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(metrics, "_REGISTRY", dict(metrics._REGISTRY))
+    monkeypatch.setattr(metrics, "_THREADS", 3)
+    threads = set()
+
+    def pairwise(X, Y):
+        threads.add(threading.get_ident())
+        return sq_euclidean.pairwise(X, Y)
+
+    m = register_metric("recording", pairwise=pairwise)
+    ds = synthetic(61, 2, 2, seed=10)
+    monkeypatch.setattr(metrics, "_BUILD_ELEMS", 4 * ds.n)
+    pre = distance_cache(ds, m, 2**31)
+    fly = distance_cache(ds, m, 0)
+    configs = np.array(list(itertools.combinations(range(ds.n), 2)))
+    assert evaluate_batch(ds, configs, fly).tobytes() == evaluate_batch(ds, configs, pre).tobytes()
+    assert threads == {threading.get_ident()}

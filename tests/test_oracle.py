@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -81,6 +82,31 @@ def test_counts_every_combination():
         assert sol.evaluated_configurations == math.comb(11, k)
 
 
+def test_k_near_n_ranks_fit_int64():
+    # C(70, 35) overflows int64, but ranks of K = 67 stay below C(70, 67).
+    # A set leaves out 3 points, each costing the distance to its nearest
+    # kept point; brute force over all C(70, 3) excluded triples, ties
+    # (mutual nearest neighbours) to the minimal colex rank
+    n, k = 70, 67
+    ds = Dataset(points=np.random.default_rng(12).normal(size=(n, 3)))
+    d = distance_cache(ds, get_metric("sqeuclidean")).matrix.copy()
+    np.fill_diagonal(d, np.inf)
+    best, want = (math.inf, 0), None
+    for trio in itertools.combinations(range(n), 3):
+        keep = np.ones(n, dtype=bool)
+        keep[list(trio)] = False
+        cost = sum(float(d[i, keep].min()) for i in trio)
+        if cost <= best[0]:
+            medoids = np.flatnonzero(keep).tolist()
+            rank = sum(math.comb(c, i) for i, c in enumerate(medoids, 1))
+            if (cost, rank) < best:
+                best, want = (cost, rank), medoids
+    sol = solve_exhaustive(ds, SolverParams(k=k))
+    assert sol.evaluated_configurations == math.comb(n, k) == 54_740
+    assert sol.medoid_indices.tolist() == want
+    assert sol.objective == pytest.approx(best[0], rel=1e-12)
+
+
 def test_enumeration_limit():
     ds = synthetic(30, 2, 3, seed=2)
     with pytest.raises(InstanceTooLarge) as exc:
@@ -146,7 +172,8 @@ def test_partial_last_block(monkeypatch, block, n, k):
 
 def test_k1_builds_no_distance_matrix():
     # K = 1 reads each distance row once, so without a passed cache the
-    # oracle, like the solver, scores on the fly
+    # oracle, like the solver, scores on the fly: a matrix would take 8·N²
+    # bytes for no fewer row reads
     n = 4000
     ds = synthetic(n, 2, 1, seed=0)
     tracemalloc.start()
