@@ -136,8 +136,12 @@ def machine() -> dict:
                        if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
-    # the CPUs the runs may use: the package runs its distance blocks on each
-    return {"nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)), "cpu": cpu,
+    # the CPUs the runs may use: the package builds its distance matrices on each
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        affinity = os.cpu_count()
+    return {"nproc": os.cpu_count(), "affinity": affinity, "cpu": cpu,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__}
 

@@ -35,6 +35,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DistanceOverflow, InstanceTooLarge, RankOverflow
 from .metrics import (
+    _FLY_THREADS,
     DistanceCache,
     _build_rows,
     _chunk_rows,
@@ -63,10 +64,11 @@ def estimate_solver_bytes(n: int, k: int) -> int:
     in flight (one per build thread), the scoring scratch with numpy's
     buffers for it, and the round plan.  K = 1 holds no matrix: it scores
     through `evaluate_batch` on the fly, with one chunk of distance rows
-    in flight per thread.  One more chunk is counted for a metric that
-    does not declare itself symmetric: it runs on one thread, and its
-    chunk's `pairwise` block and transposed copy are alive together.
-    K = 1 also holds the N candidates and their N objectives.
+    in flight on each of up to `_FLY_THREADS` threads, whatever the CPU
+    count.  One more chunk is counted for a metric that does not declare
+    itself symmetric: it runs on one thread, and its chunk's `pairwise`
+    block and transposed copy are alive together.  K = 1 also holds the
+    N candidates and their N objectives.
     """
     return _solver_bytes(n, k, *_plan(n, k))
 
@@ -75,9 +77,7 @@ def _solver_bytes(n: int, k: int, rounds: np.ndarray, scratch: tuple[int, ...]) 
     """`estimate_solver_bytes` for a plan already made."""
     levels = sum(math.comb(n, j) * j * 8 for j in range(1, k))
     if k == 1:
-        rows = _chunk_rows(n)
-        chunks = _threads(-(-n // rows)) + 1
-        return levels + 8 * (chunks * rows * n + 2 * n)
+        return levels + 8 * ((_FLY_THREADS + 1) * _chunk_rows(n) * n + 2 * n)
     rows = _build_rows(n)
     build = _threads(-(-n // rows)) * rows * n
     # numpy buffers the broadcast `minimum` of scoring: at most three

@@ -11,8 +11,9 @@ arithmetic exactly, so cached and uncached evaluation, the fused solver,
 and the exhaustive oracle all agree bit-for-bit; ties between medoid sets
 can be broken by float equality.
 
-With a built-in metric, the matrix build and on-the-fly evaluation run
-their row blocks on every CPU the process may use (see `_map_blocks`).
+With a built-in metric, the matrix build runs its row blocks on every CPU
+the process may use, and on-the-fly evaluation its chunks on up to three
+(see `_map_blocks`).
 Block boundaries do not depend on the thread count, and each block writes
 its own cells, so every distance and objective has the same bits on any
 number of threads.
@@ -49,6 +50,10 @@ _BUILD_ELEMS = 1 << 18
 # threads of a parallel row-block map; None: one per CPU the process may
 # run on (`taskset` limits them)
 _THREADS: Optional[int] = None
+
+# threads of on-the-fly `evaluate_batch` at most: each holds one chunk of
+# distance rows, so this bounds a K = 1 solve's memory whatever the CPU count
+_FLY_THREADS = 3
 
 
 @dataclass(frozen=True)
@@ -162,20 +167,15 @@ def _threads(blocks: int) -> int:
     return max(1, min(cpus, blocks))
 
 
-def _map_blocks(run: Callable[[int], None], starts: range, parallel: bool) -> None:
-    """Call `run(lo)` for each block start in `starts`, on `_threads`
-    threads when `parallel`, else in order on the calling thread.
+def _map_blocks(run: Callable[[int], None], starts: range, threads: int) -> None:
+    """Call `run(lo)` for each block start in `starts`, on the calling
+    thread and `threads - 1` helpers.
 
-    Threads take blocks in order and one at a time; they start here and
-    are joined before the call returns.  Once a block fails no further
+    Threads take blocks in order and one at a time; the helpers start here
+    and are joined before the call returns.  Once a block fails no further
     block is handed out, and every earlier block has been, so the error
     raised is the one from the lowest failing block, as in a serial run.
     """
-    threads = _threads(len(starts)) if parallel else 1
-    if threads == 1:
-        for lo in starts:
-            run(lo)
-        return
     todo = iter(enumerate(starts))
     lock = threading.Lock()
     stop = threading.Event()
@@ -295,7 +295,8 @@ def distance_cache(
         else:
             mat[lo:hi] = metric.pairwise(pts, pts[lo:hi]).T
 
-    _map_blocks(build, range(0, n, step), metric in _THREADED)
+    starts = range(0, n, step)
+    _map_blocks(build, starts, _threads(len(starts)) if metric in _THREADED else 1)
     return DistanceCache(ds, metric, "precomputed", mat)
 
 
@@ -332,10 +333,10 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     minimum, then sums each length-N row.
     The minimum is exact, so neither chunking nor the order of the fold
     affects the result bits.  An on-the-fly cache of a built-in metric
-    scores its chunks on several threads, each holding one chunk at a
-    time; a precomputed cache's gathers hold the GIL, so they run on the
-    calling thread.  An index outside [0, N) raises IndexError, a cache
-    built on another dataset InvalidArguments.
+    scores its chunks on up to `_FLY_THREADS` threads, each holding one
+    chunk at a time; a precomputed cache's gathers hold the GIL, so they
+    run on the calling thread.  An index outside [0, N) raises
+    IndexError, a cache built on another dataset InvalidArguments.
     """
     _check_cache(ds, cache)
     configs = np.asarray(configs, dtype=np.int64)
@@ -358,8 +359,11 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
             np.minimum(acc, cache.columns(sub[:, j]), out=acc)
         out[lo : lo + sub.shape[0]] = np.add.reduce(acc, axis=1)
 
-    parallel = cache.mode == "on-the-fly" and cache.metric in _THREADED
-    _map_blocks(score, range(0, m, step), parallel)
+    starts = range(0, m, step)
+    threads = 1
+    if cache.mode == "on-the-fly" and cache.metric in _THREADED:
+        threads = min(_FLY_THREADS, _threads(len(starts)))
+    _map_blocks(score, starts, threads)
     return out
 
 

@@ -209,7 +209,8 @@ def test_memory_estimate_counts_transpose_only_for_k_above_one():
 
 
 def test_k1_memory_estimate_bounds_the_solve():
-    # K = 1 holds three `evaluate_batch` chunks of distance rows, the N
+    # K = 1 holds one `evaluate_batch` chunk of distance rows per thread,
+    # plus one for a metric that does not declare itself symmetric, the N
     # candidates and their N objectives, with a prebuilt matrix (not its
     # own) and without one (it then builds no matrix)
     n = 4000
@@ -222,6 +223,25 @@ def test_k1_memory_estimate_bounds_the_solve():
         finally:
             tracemalloc.stop()
         assert peak <= estimate_solver_bytes(n, 1) + 16 * 1024
+
+
+def test_k1_memory_does_not_grow_with_the_cpu_count(monkeypatch):
+    # on eight CPUs the on-the-fly chunks still run on at most three
+    # threads: the solve stays within its estimate and the oracle, like
+    # the solver, within 1 % of the matrix it does not build
+    monkeypatch.setattr(metrics, "_THREADS", 8)
+    n = 4000
+    ds = synthetic(n, 2, 1, seed=0)
+    peaks = []
+    for solve in (solve_ekm, solve_exhaustive):
+        tracemalloc.start()
+        try:
+            solve(ds, SolverParams(k=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= estimate_solver_bytes(n, 1) + 16 * 1024
+    assert peaks[1] < 8 * n * n // 100
 
 
 @pytest.mark.parametrize(

@@ -454,27 +454,38 @@ def test_threads_do_not_change_bits(monkeypatch, name):
 
 
 def test_builtin_metrics_compute_on_several_threads(monkeypatch):
-    # a slowed `cdist` makes the blocks overlap, so every thread takes some
+    # the first `meet` `cdist` calls of a map wait for each other, so that
+    # many threads must each take a block.  On-the-fly chunks run on three
+    # threads even when eight CPUs are there
     threads = set()
     cdist = metrics.cdist
 
-    def slow_cdist(*args, **kwargs):
-        threads.add(threading.get_ident())
-        time.sleep(0.002)
-        return cdist(*args, **kwargs)
+    def meeting(meet):
+        threads.clear()
+        order = itertools.count()
+        barrier = threading.Barrier(meet, timeout=10)
 
-    monkeypatch.setattr(metrics, "cdist", slow_cdist)
-    monkeypatch.setattr(metrics, "_THREADS", 3)
+        def meeting_cdist(*args, **kwargs):
+            threads.add(threading.get_ident())
+            if next(order) < meet:
+                barrier.wait()
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "cdist", meeting_cdist)
+
     ds = synthetic(40, 2, 2, seed=9)
     monkeypatch.setattr(metrics, "_BUILD_ELEMS", 4 * ds.n)
     monkeypatch.setattr(metrics, "_CHUNK_ELEMS", 8 * ds.n)
+    monkeypatch.setattr(metrics, "_THREADS", 3)
+    meeting(3)
     distance_cache(ds, sq_euclidean, 2**31)
     assert len(threads) == 3
-    threads.clear()
+    monkeypatch.setattr(metrics, "_THREADS", 8)
+    meeting(metrics._FLY_THREADS)
     evaluate_batch(ds, np.arange(200).reshape(-1, 1) % ds.n, cache_for(ds, budget=0))
-    assert len(threads) == 3
+    assert len(threads) == metrics._FLY_THREADS == 3
     # a single block runs where it is called
-    threads.clear()
+    meeting(1)
     evaluate_objective(ds, [3], cache_for(ds, budget=0))
     assert threads == {threading.get_ident()}
 
@@ -504,7 +515,6 @@ def test_failing_late_block_raises_distance_overflow(monkeypatch):
 def test_map_raises_the_lowest_failing_block(monkeypatch):
     # block 9 fails first, block 5 later: the error is block 5's, as in a
     # serial run; every earlier block ran, and later ones stop being handed out
-    monkeypatch.setattr(metrics, "_THREADS", 3)
     done = []
 
     def run(lo):
@@ -517,7 +527,7 @@ def test_map_raises_the_lowest_failing_block(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(DistanceOverflow, match="block 5"):
-        metrics._map_blocks(run, range(40), parallel=True)
+        metrics._map_blocks(run, range(40), 3)
     assert threading.active_count() == before
     assert set(range(5)) <= set(done)
     assert max(done) < 20
