@@ -178,11 +178,10 @@ def _map_blocks(run: Callable[[int], None], starts: range, threads: int) -> None
     """
     todo = iter(enumerate(starts))
     lock = threading.Lock()
-    stop = threading.Event()
     failed: dict[int, BaseException] = {}
 
     def work() -> None:
-        while not stop.is_set():
+        while not failed:
             with lock:
                 i, lo = next(todo, (-1, 0))
             if i < 0:
@@ -192,7 +191,6 @@ def _map_blocks(run: Callable[[int], None], starts: range, threads: int) -> None
             except BaseException as exc:  # re-raised by the calling thread
                 with lock:
                     failed[i] = exc
-                stop.set()
 
     helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for t in helpers:
@@ -200,7 +198,6 @@ def _map_blocks(run: Callable[[int], None], starts: range, threads: int) -> None
     try:
         work()
     finally:
-        stop.set()
         for t in helpers:
             t.join()
     if failed:
