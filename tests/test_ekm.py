@@ -251,12 +251,14 @@ def test_k1_memory_does_not_grow_with_the_cpu_count(monkeypatch):
 )
 def test_memory_estimate_bounds_a_solve_that_builds_its_matrix(monkeypatch, n, k, chunk):
     # with no cache passed, a K >= 2 solve builds its matrix, a block in
-    # flight on each of two threads, then scores it: numpy buffers the
+    # flight on each build thread, then scores it: numpy buffers the
     # broadcast minimum, and the round plan is alive throughout.  Small
-    # scoring blocks leave the build's blocks to set the peak
+    # scoring blocks leave the build's blocks, ten of them on two
+    # threads, to set the peak
     monkeypatch.setattr(metrics, "_THREADS", 2)
     if chunk:
         monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
+        monkeypatch.setattr(metrics, "_BUILD_ELEMS", 1 << 16)
     ds = synthetic(n, 2, k, seed=0)
     tracemalloc.start()
     try:

@@ -484,9 +484,11 @@ def test_builtin_metrics_compute_on_several_threads(monkeypatch):
     meeting(metrics._FLY_THREADS)
     evaluate_batch(ds, np.arange(200).reshape(-1, 1) % ds.n, cache_for(ds, budget=0))
     assert len(threads) == metrics._FLY_THREADS == 3
-    # a single block runs where it is called
+    # one block, or two (a build of 21 and 19 rows), run where they are called
     meeting(1)
     evaluate_objective(ds, [3], cache_for(ds, budget=0))
+    monkeypatch.setattr(metrics, "_BUILD_ELEMS", 21 * ds.n)
+    distance_cache(ds, sq_euclidean, 2**31)
     assert threads == {threading.get_ident()}
 
 
