@@ -12,8 +12,8 @@ and the exhaustive oracle all agree bit-for-bit; ties between medoid sets
 can be broken by float equality.
 
 With a built-in metric, the matrix build runs its row blocks on every CPU
-the process may use, and on-the-fly evaluation its chunks on up to three
-(see `_map_blocks`).
+the process may use, two blocks at least for each, and on-the-fly
+evaluation its chunks on up to three (see `_map_blocks`).
 Block boundaries do not depend on the thread count, and each block writes
 its own cells, so every distance and objective has the same bits on any
 number of threads.
@@ -158,9 +158,9 @@ _THREADED = tuple(_REGISTRY.values())
 
 def _threads(blocks: int) -> int:
     """Threads a parallel map over `blocks` row blocks runs on: one per
-    CPU, but with two blocks for each.  The first blocks of a symmetric
-    build hold the most distances, so split over as many threads as
-    blocks they gained nothing (N = 640: two blocks, 83 % in the first)."""
+    CPU, but at least two blocks for each.  The first blocks of a
+    symmetric build hold the most distances, so a build with one thread
+    per block gained nothing (N = 640: two blocks, 83 % in the first)."""
     cpus = _THREADS
     if cpus is None:
         try:
