@@ -34,11 +34,20 @@ from .errors import DistanceOverflow, InvalidArguments, ShapeError, UnknownMetri
 
 DEFAULT_MEMORY_BUDGET = 2**32  # 4 GiB: every solver's budget unless set
 
-# floats per evaluation row block: 128 KB per buffer, so a chunk's gathers
-# and its running minimum stay in L2 cache.  With 2^16 floats glibc gave
-# the freed buffers back to the OS between chunks, and a K=3, N=200 oracle
-# solve took 0.9M minor page faults to fetch them again
+# floats per chunk of fresh distance rows (on-the-fly `evaluate_batch`):
+# 128 KB per array, glibc's default mmap threshold, so a chunk's rows and
+# its running minimum stay in L2 cache and freed arrays are reused from
+# the heap.  Larger fresh arrays went back to the OS after every chunk:
+# a K=3, N=200 oracle solve gathering fresh chunks of 2^15 and 2^16
+# floats took 1.27M and 1.37M minor page faults in a fresh process,
+# against 74 at 2^14
 _CHUNK_ELEMS = 1 << 14
+
+# floats per reused gather buffer (precomputed `evaluate_batch`): the two
+# buffers are made once per call, not per chunk, so 256 KB each costs no
+# faults, and that oracle solve ran 15 % faster than with 2^14.  At 2^16
+# floats their frees pass glibc's trim threshold, and it took 71k faults
+_BUFFER_ELEMS = 1 << 15
 
 # configs per evaluation chunk at the least, whatever N: an on-the-fly
 # `pairwise` call over one medoid was 2.5x slower per distance than over 8
@@ -231,8 +240,10 @@ class DistanceCache:
 
     A precomputed `matrix` is medoid-major, `matrix[j, i] = d(x_i, x_j)`:
     row j holds every point's distance to candidate medoid j, contiguously.
-    Lookups return identical values in either mode; `columns` is the bulk
-    access path used by all solvers.  A metric that declares itself
+    `columns` returns identical rows in either mode; it serves on-the-fly
+    scoring, `assign` and the baselines.  The K >= 2 solver reads a
+    precomputed `matrix` in place, and `evaluate_batch` gathers from it
+    into buffers of its own.  A metric that declares itself
     symmetric is evaluated medoids first, so its rows come out in this
     layout; any other metric is evaluated points first and transposed.
     Distances are checked where they are made (the precomputed matrix
@@ -327,16 +338,19 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     """Objective values for a batch of medoid index configurations.
 
     `configs` is an (m, k) integer array, one sorted configuration per row.
-    Configs are scored in chunks of `_CHUNK_ELEMS // N` rows, but at least
-    `_MIN_CHUNK_CONFIGS`: each chunk gathers one distance row per config
-    and medoid position, folds the rows into a running elementwise
-    minimum, then sums each length-N row.
-    The minimum is exact, so neither chunking nor the order of the fold
-    affects the result bits.  An on-the-fly cache of a built-in metric
-    scores its chunks on up to `_FLY_THREADS` threads, each holding one
-    chunk at a time; a precomputed cache's gathers hold the GIL, so they
-    run on the calling thread.  An index outside [0, N) raises
-    IndexError, a cache built on another dataset InvalidArguments.
+    Configs are scored in chunks: each chunk gathers one distance row per
+    config and medoid position, folds the rows into a running elementwise
+    minimum, then sums each length-N row.  The minimum is exact, so neither
+    chunking nor the order of the fold affects the result bits.
+
+    A precomputed cache's rows are taken from its matrix into two buffers
+    made once per call, chunks of `_BUFFER_ELEMS // N` configs, on the
+    calling thread: its gathers hold the GIL.  An on-the-fly cache
+    computes fresh rows through `columns`, in chunks of `_CHUNK_ELEMS // N`
+    configs, and for a built-in metric on up to `_FLY_THREADS` threads,
+    each holding one chunk at a time.  A chunk holds `_MIN_CHUNK_CONFIGS`
+    configs at the least.  An index outside [0, N) raises IndexError, a
+    cache built on another dataset InvalidArguments.
     """
     _check_cache(ds, cache)
     configs = np.asarray(configs, dtype=np.int64)
@@ -347,28 +361,46 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     if m == 0:
         return out
     _check_range(ds, configs)
-    step = _chunk_rows(ds.n)
+    n = ds.n
+    if cache.mode == "precomputed":
+        step = max(_MIN_CHUNK_CONFIGS, _BUFFER_ELEMS // n)
+        bufs = [np.empty((min(step, m), n), cache.matrix.dtype) for _ in range(min(k, 2))]
+
+        def rows(idx: np.ndarray, slot: int) -> np.ndarray:
+            # "clip" writes straight into the buffer; the default "raise"
+            # copies through a temporary.  `_check_range` refused every
+            # index outside [0, N), so nothing is clipped
+            buf = bufs[slot][: len(idx)]
+            return cache.matrix.take(idx, axis=0, out=buf, mode="clip")
+
+    else:
+        step = _chunk_rows(n)
+        bufs = None
+
+        def rows(idx: np.ndarray, slot: int) -> np.ndarray:
+            return cache.columns(idx)
 
     def score(lo: int) -> None:
         sub = configs[lo : lo + step]
-        acc = cache.columns(sub[:, 0])
+        acc = rows(sub[:, 0], 0)
         if k > 1:
-            # a fresh array: `columns` may return a view that must not be written
-            acc = np.minimum(acc, cache.columns(sub[:, 1]))
+            # `columns` may return rows that must not be written, so the
+            # first fold of fresh rows makes a new array
+            acc = np.minimum(acc, rows(sub[:, 1], 1), out=None if bufs is None else acc)
         for j in range(2, k):
-            np.minimum(acc, cache.columns(sub[:, j]), out=acc)
-        out[lo : lo + sub.shape[0]] = np.add.reduce(acc, axis=1)
+            np.minimum(acc, rows(sub[:, j], 1), out=acc)
+        np.add.reduce(acc, axis=1, out=out[lo : lo + sub.shape[0]])
 
     starts = range(0, m, step)
     threads = 1
-    if cache.mode == "on-the-fly" and cache.metric in _THREADED:
+    if bufs is None and cache.metric in _THREADED:
         threads = min(_FLY_THREADS, _threads(len(starts)))
     _map_blocks(score, starts, threads)
     return out
 
 
 def _chunk_rows(n: int) -> int:
-    """Configs per `evaluate_batch` chunk at N points."""
+    """Configs per on-the-fly `evaluate_batch` chunk at N points."""
     return max(_MIN_CHUNK_CONFIGS, _CHUNK_ELEMS // n)
 
 

@@ -311,6 +311,7 @@ def test_evaluate_batch_is_chunk_invariant(monkeypatch):
         with monkeypatch.context() as mp:
             # one config per chunk
             mp.setattr(metrics, "_CHUNK_ELEMS", 1)
+            mp.setattr(metrics, "_BUFFER_ELEMS", 1)
             mp.setattr(metrics, "_MIN_CHUNK_CONFIGS", 1)
             split = evaluate_batch(ds, configs, cache)
         assert np.array_equal(whole, split)
@@ -370,9 +371,11 @@ def test_evaluate_batch_chunks_hold_several_configs():
 
 
 def test_evaluate_batch_leaves_columns_unwritten():
+    # only on-the-fly scoring reads `columns`; a precomputed cache is
+    # gathered from its matrix (see the read-only matrix test below)
     ds = synthetic(25, 2, 3, seed=8)
     cache = cache_for(ds)
-    frozen = _ReadOnlyCache(ds, cache.metric, cache.mode, cache.matrix)
+    frozen = _ReadOnlyCache(ds, cache.metric, "on-the-fly")
     for k in range(1, 5):
         configs = np.array(list(itertools.combinations(range(ds.n), k)))
         assert np.array_equal(
@@ -382,6 +385,70 @@ def test_evaluate_batch_leaves_columns_unwritten():
     got = solve_exhaustive(ds, SolverParams(k=3), cache=frozen)
     assert got.objective == want.objective
     assert got.medoid_indices.tolist() == want.medoid_indices.tolist()
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["default-chunk", "3-row-chunk"])
+@pytest.mark.parametrize("name", BUILTIN_METRICS)
+def test_precomputed_batch_bits_match_on_the_fly(monkeypatch, name, rows):
+    # the precomputed path gathers into reused buffers, the on-the-fly path
+    # computes fresh rows; 2000 configs are no multiple of either chunk
+    rng = np.random.default_rng(83)
+    ds = Dataset(points=rng.normal(size=(40, 3)) * 1e3)
+    pre, fly = cache_for(ds, name, 2**31), cache_for(ds, name, 0)
+    if rows is not None:
+        monkeypatch.setattr(metrics, "_BUFFER_ELEMS", rows * ds.n)
+        monkeypatch.setattr(metrics, "_MIN_CHUNK_CONFIGS", 1)
+    for k in range(1, 5):
+        configs = np.sort(
+            np.array([rng.choice(ds.n, k, replace=False) for _ in range(2000)]), axis=1
+        )
+        got = evaluate_batch(ds, configs, pre)
+        assert got.tobytes() == evaluate_batch(ds, configs, fly).tobytes()
+
+
+def test_read_only_matrix_is_never_written():
+    ds = synthetic(30, 2, 3, seed=12)
+    cache = cache_for(ds)
+    cache.matrix.flags.writeable = False
+    before = cache.matrix.copy()
+    for k in range(1, 5):
+        configs = np.array(list(itertools.combinations(range(ds.n), k)))
+        evaluate_batch(ds, configs, cache)
+    solve_exhaustive(ds, SolverParams(k=3), cache=cache)
+    assert np.array_equal(cache.matrix, before)
+
+
+@pytest.mark.parametrize("bad", [-1, 40], ids=["minus-one", "N"])
+@pytest.mark.parametrize("pos", [0, 2], ids=["first-position", "last-position"])
+def test_precomputed_gather_never_clips(bad, pos):
+    # the gathers take `mode="clip"`, which would turn -1 into 0 and N into
+    # N - 1; the range check before them refuses such an index in any
+    # chunk, here the last config of a batch of several chunks
+    ds = synthetic(40, 2, 3, seed=13)
+    cache = cache_for(ds)
+    configs = np.array(list(itertools.combinations(range(ds.n), 3)))
+    configs[-1, pos] = bad
+    with pytest.raises(IndexError, match=r"out of range \[0, 40\)"):
+        evaluate_batch(ds, configs, cache)
+
+
+def test_precomputed_batch_allocates_no_chunk_arrays():
+    # 60 chunks: the peak is the two gather buffers and the output; a fresh
+    # chunk array (256 KB, as each buffer) would not fit in the 64 KB slack
+    ds = synthetic(100, 2, 3, seed=14)
+    cache = cache_for(ds)
+    step = metrics._BUFFER_ELEMS // ds.n
+    configs = np.sort(
+        np.random.default_rng(14).integers(0, ds.n, size=(60 * step, 3)), axis=1
+    )
+    buffers = 2 * step * ds.n * 8
+    tracemalloc.start()
+    try:
+        evaluate_batch(ds, configs, cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + 8 * len(configs) + 64 * 1024
 
 
 # finite points whose squared distances overflow to inf

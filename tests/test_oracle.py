@@ -7,6 +7,7 @@ import pytest
 
 from ekmedoids import (
     Dataset,
+    DistanceOverflow,
     EmptyDataset,
     InstanceTooLarge,
     InvalidArguments,
@@ -19,6 +20,7 @@ from ekmedoids import (
     synthetic,
 )
 from ekmedoids import oracle
+from ekmedoids.metrics import evaluate_batch
 
 
 def test_k_equals_n_zero_objective():
@@ -44,8 +46,10 @@ def test_three_way_tie_takes_minimal_colex():
 
 
 # lookup-table metric whose unique optima are {0,3} and {1,2}, both at 12:
-# lexicographic enumeration meets {0,3} first, but colex rank orders
-# {1,2} (rank 2) before {0,3} (rank 3), so scan order must not decide
+# {0,3} comes first in lexicographic order, but colex rank orders {1,2}
+# (rank 2) before {0,3} (rank 3).  The oracle scans in colex order and the
+# fused solver in its own, so each must keep the tie rule, not the first
+# optimum another order would meet
 _TIE_TABLE = np.array(
     [
         [0, 6, 7, 8, 8],
@@ -168,6 +172,63 @@ def test_partial_last_block(monkeypatch, block, n, k):
     assert got.evaluated_configurations == math.comb(n, k)
     assert got.objective.hex() == want.objective.hex()
     assert got.medoid_indices.tolist() == want.medoid_indices.tolist()
+
+
+def _colex(n, k):
+    # colex order: by the largest element first, then the next largest, ...
+    return sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
+
+
+@pytest.mark.parametrize("block", [1, 7, oracle._BLOCK], ids=["block-1", "block-7", "default-block"])
+def test_blocks_enumerate_every_subset_once_in_colex_order(monkeypatch, block):
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    scored = []
+
+    def recording(ds, configs, cache):
+        scored.append(np.array(configs))
+        return evaluate_batch(ds, configs, cache)
+
+    monkeypatch.setattr(oracle, "evaluate_batch", recording)
+    for n in range(1, 11):
+        ds = synthetic(n, 2, 1, seed=n)
+        cache = distance_cache(ds, get_metric("sqeuclidean"), 2**31)
+        for k in range(1, n + 1):
+            scored.clear()
+            sol = solve_exhaustive(ds, SolverParams(k=k), cache=cache)
+            total = math.comb(n, k)
+            assert [len(b) for b in scored] == [
+                min(block, total - lo) for lo in range(0, total, block)
+            ]
+            got = [tuple(c) for b in scored for c in b.tolist()]
+            assert got == _colex(n, k), (n, k)
+            assert sol.evaluated_configurations == total
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, oracle._BLOCK])
+def test_tie_across_blocks_takes_minimal_colex_rank(monkeypatch, block):
+    # points 1 and 3 coincide, and so do 2 and 4: the optimum 25 is
+    # reached by {1,2}, {2,3}, {1,4} and {3,4}, colex ranks 2, 5, 7 and 9,
+    # so blocks of 1 to 4 combinations spread the tie over several blocks
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    ds = Dataset(points=np.array([[5.0], [0.0], [10.0], [0.0], [10.0]]))
+    cache = distance_cache(ds, get_metric("sqeuclidean"), 2**31)
+    ties = [[1, 2], [2, 3], [1, 4], [3, 4]]
+    assert {evaluate_objective(ds, t, cache) for t in ties} == {25.0}
+    sol = solve_exhaustive(ds, SolverParams(k=2), cache=cache)
+    assert sol.medoid_indices.tolist() == [1, 2]
+    assert sol.objective == 25.0
+    assert solve_ekm(ds, SolverParams(k=2), cache=cache).medoid_indices.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_no_finite_objective_raises_distance_overflow(monkeypatch, value):
+    # distances are checked where they are made, so this cannot happen
+    # through the cache; the oracle must still not return a set it never chose
+    monkeypatch.setattr(
+        oracle, "evaluate_batch", lambda ds, configs, cache: np.full(len(configs), value)
+    )
+    with pytest.raises(DistanceOverflow):
+        solve_exhaustive(synthetic(8, 2, 2, seed=3), SolverParams(k=2))
 
 
 def test_k1_builds_no_distance_matrix():
