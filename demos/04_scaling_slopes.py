@@ -7,7 +7,13 @@ the acceptance gate (up to n=1600, plus a K=3 sweep) push it to a few
 minutes and tighten the fit.
 """
 
-from ekmedoids import fit_slope, run_scaling, scaling_summary, scaling_csv_text
+from ekmedoids import (
+    fit_slope,
+    ns_per_distance_min,
+    run_scaling,
+    scaling_csv_text,
+    scaling_summary,
+)
 
 sizes = (100, 200, 400, 800)
 print(f"K=2 sweep over n in {sizes}, 3 reps each (synthetic Gaussian mixtures)")
@@ -20,6 +26,11 @@ for r in records:
 
 slope = fit_slope(records)
 print(f"\nfitted log-log slope: {slope:.3f}  (predicted exponent: 3)")
+
+# A solve at size n makes C(n, 2) * n distance-mins; the slope reaches the
+# predicted exponent only when each costs the same at every size.
+costs = ns_per_distance_min(records)
+print("median ns per distance-min:", "  ".join(f"n={n}: {ns:.2f}" for n, ns in costs.items()))
 
 # The harness also emits CSV records and a JSON-ready summary; these are
 # the artifacts the benchmark CLI writes.

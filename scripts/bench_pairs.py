@@ -22,7 +22,8 @@ wins at least nine tenths of the pairs with a median better by more
 than that range.  Then one traced run per workload and side, on the
 next seed, records the per-layer metrics.  `--a5 R` also runs the a5
 runtime-slope gate R times on each side, alternating, and records the
-fitted slopes.
+fitted slopes and, where the gate prints them, each size's ns per
+distance-min, with their medians per side.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ PAIRS = 10
 PROTOCOL = (f"{PAIRS} seeds per workload; per seed one parent run and one change run, "
             "parent first on odd seeds, change first on even seeds")
 _A5_LINE = re.compile(r"a5: K=2 slope ([0-9.]+).*K=3 slope ([0-9.]+)")
+_A5_COSTS = re.compile(r"a5 ns per distance-min: K=2 ([0-9.: ]+); K=3 ([0-9.: ]+)")
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -71,18 +73,44 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: bool = 
     return json.loads(lines[-1])
 
 
+def parse_a5(stdout: str) -> dict:
+    """Both slopes from the a5 gate's output, and each size's median ns per
+    distance-min per K when the gate prints them (older gates do not)."""
+    found = _A5_LINE.search(stdout)
+    if found is None:
+        raise RuntimeError(f"no a5 slopes in the pytest output:\n{stdout}")
+    run = {"k2": float(found[1]), "k3": float(found[2])}
+    costs = _A5_COSTS.search(stdout)
+    if costs is not None:
+        run["ns_per_dmin"] = {
+            k: {int(n): float(ns) for n, ns in (pair.split(":") for pair in text.split())}
+            for k, text in (("2", costs[1]), ("3", costs[2]))
+        }
+    return run
+
+
 def a5(tree: Path) -> dict:
-    """One run of the a5 slope gate on `tree`: both slopes and the verdict."""
+    """One run of the a5 slope gate on `tree`: both slopes, the per-size
+    costs if printed, and the verdict."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
          "tests/test_acceptance.py", "-k", "a5"],
         cwd=tree, env=env, capture_output=True, text=True,
     )
-    found = _A5_LINE.search(proc.stdout)
-    if found is None:
-        raise RuntimeError(f"no a5 slopes in the pytest output:\n{proc.stdout}")
-    return {"k2": float(found[1]), "k3": float(found[2]), "passed": proc.returncode == 0}
+    return {**parse_a5(proc.stdout), "passed": proc.returncode == 0}
+
+
+def cost_table(runs: list[dict]) -> dict:
+    """Per K and size, the median ns per distance-min over the a5 runs that
+    printed one; empty when none did."""
+    table: dict = {}
+    for run in runs:
+        for k, sizes in run.get("ns_per_dmin", {}).items():
+            for n, ns in sizes.items():
+                table.setdefault(k, {}).setdefault(n, []).append(ns)
+    return {k: {n: statistics.median(v) for n, v in sorted(sizes.items())}
+            for k, sizes in table.items()}
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -220,6 +248,7 @@ def main() -> int:
                 "command": "PYTHONPATH=src python -m pytest -q -s tests/test_acceptance.py -k a5",
                 "parent_runs": slopes["parent"],
                 "change_runs": slopes["change"],
+                "ns_per_dmin_median": {side: cost_table(slopes[side]) for side in slopes},
             }
     if claim:
         claim["met"] = claim_met(doc["workloads"][claim["workload"]], claim["metric"])

@@ -171,6 +171,20 @@ def fit_slope(records: Sequence[ScalingRecord]) -> float:
     return float(slope)
 
 
+def ns_per_distance_min(records: Sequence[ScalingRecord]) -> dict[int, float]:
+    """Median nanoseconds per distance-min at each size, in ascending n.
+
+    A solve at size n makes evaluated_configurations * n distance-mins;
+    a kernel whose cost per distance-min is flat across sizes gives the
+    fitted slope the exponent its work count predicts.
+    """
+    by_n: dict[int, list[float]] = {}
+    for r in records:
+        work = r.evaluated_configurations * r.n
+        by_n.setdefault(r.n, []).append(1e9 * r.wall_time_seconds / work)
+    return {n: float(np.median(by_n[n])) for n in sorted(by_n)}
+
+
 def scaling_summary(records: Sequence[ScalingRecord]) -> dict:
     """JSON-ready summary: fitted slope per k, plus measurement totals."""
     ks = sorted({r.k for r in records})
@@ -285,7 +299,7 @@ def compare(
         if exact is not None and exact.objective is not None:
             for alg, cell in results.items():
                 if cell.objective is not None and cell.objective < exact.objective:
-                    raise AssertionError(
+                    raise ExactKMedoidsError(
                         f"{alg} beat the exact solver on {name}: "
                         f"{cell.objective} < {exact.objective}"
                     )

@@ -4,20 +4,22 @@ The solver is a combination generator with evaluation and selection fused
 in.  Unfused, the generator grows level stores of every combination of
 the points seen so far, one point at a time, and would materialize every
 configuration before scoring it (the tests keep that plain-list form as
-their reference).  Here the evaluator is fused into the level-store merge
-(a configuration reaching the target size K is scored as soon as its
-parts exist) and the selector is fused on top (scored configurations are
+their reference).  Here the evaluator is fused into the last merge (a
+size K configuration is scored from its size K-1 part and its last point,
+never stored) and the selector is fused on top (scored configurations are
 streamed into one incumbent and never retained).  Only partial
 configurations of size < K are stored, so for fixed K the search over all
 C(N, K) medoid sets runs in O(N^{K+1}) time and O(N^{K-1} + N^2) space.
 
-`solve_ekm` scores partial-major: step p creates the size K-1 partials
-that end at p; each one's row-min over the cache's medoid-major distance
-matrix is built once and then scored against every later point q with one
-`minimum` and one contiguous length-N row sum, the same sum
-`evaluate_batch` takes, so objectives are bit-equal to it.  Steps whose
-work is small are batched into one scoring round.  K = 1 has no partials
-to reduce: its N single-point sets are scored by `evaluate_batch` itself.
+`solve_ekm` first grows the level stores of partials of sizes 1 .. K-1,
+then scores the size K-1 partials in groups of consecutive store rows.
+A group's row-mins over the cache's medoid-major distance matrix are
+built once; each later point q then meets a prefix of them, the partials
+that end below q, in tiles that fit a core's L2 cache.  Each objective is
+one `minimum` and one pairwise sum of a length-N row, the sum
+`evaluate_batch` takes, so objectives are bit-equal to it.  K = 1 has no
+partials to reduce: its N single-point sets are scored by
+`evaluate_batch` itself.
 
 Tie rule: configurations are not scored in colexicographic order, so the
 incumbent compares (objective, colex rank) and keeps the smaller pair.
@@ -26,14 +28,16 @@ The minimal-colex optimal medoid set is returned, deterministically.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 import time
 from typing import Optional
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DistanceOverflow, InstanceTooLarge, RankOverflow
+from .errors import DistanceOverflow, ExactKMedoidsError, InstanceTooLarge, RankOverflow
 from .metrics import (
     _FLY_THREADS,
     DistanceCache,
@@ -48,12 +52,28 @@ from .metrics import (
 )
 from .problem import _INT64_MAX, Solution, SolverParams, check_instance
 
-# floats per scoring block; cache-sized blocks would speed up large N alone
-# and push the a5 runtime slopes under their bounds
-_CHUNK_ELEMS = 1 << 23
+# floats of row-min per group and per scoring tile, so that a tile, the
+# row-min it reads and the matrix rows it scores stay in a core's L2
+_CHUNK_ELEMS = 1 << 16
 
-# floats of scoring work up to which consecutive steps share one batch
-_BATCH_ELEMS = 1 << 16
+# numpy's ufunc buffer size while scoring, in floats (numpy's default is
+# 8192).  numpy copies the operands of a broadcast `minimum` through
+# buffers of this size when its contiguous runs are shorter; scoring runs
+# are at least this long, or short enough that the copy pays
+_BUFSIZE = 1024
+
+# each thread keeps the scoring scratch of its largest solve so far: a
+# fresh page faults on first touch, and at N = 50..100 the faults on a
+# fresh scratch cost about half as much as the scoring itself
+_SCRATCH = threading.local()
+
+
+def _scratch_buffer(size: int) -> np.ndarray:
+    """`size` floats of this thread's scoring scratch, grown as needed."""
+    if getattr(_SCRATCH, "buf", None) is None or _SCRATCH.buf.size < size:
+        _SCRATCH.buf = None  # free the smaller buffer first
+        _SCRATCH.buf = np.empty(size)
+    return _SCRATCH.buf[:size]
 
 
 def estimate_solver_bytes(n: int, k: int) -> int:
@@ -61,122 +81,186 @@ def estimate_solver_bytes(n: int, k: int) -> int:
 
     Counts the level stores of partials of sizes 1 .. k-1 and, for K >= 2,
     the N x N distance matrix scoring reads, the row blocks its build has
-    in flight (one per build thread), the scoring scratch with numpy's
-    buffers for it, and the round plan.  K = 1 holds no matrix: it scores
-    through `evaluate_batch` on the fly, with one chunk of distance rows
-    in flight on each of up to `_FLY_THREADS` threads, whatever the CPU
-    count.  One more chunk is counted for a metric that does not declare
-    itself symmetric: it runs on one thread, and its chunk's `pairwise`
-    block and transposed copy are alive together.  K = 1 also holds the
-    N candidates and their N objectives.
+    in flight (one per build thread), and the scoring scratch with numpy's
+    buffers for it.  K = 1 holds no matrix: it scores through
+    `evaluate_batch` on the fly, with one chunk of distance rows in flight
+    on each of up to `_FLY_THREADS` threads, whatever the CPU count.  One
+    more chunk is counted for a metric that does not declare itself
+    symmetric: it runs on one thread, and its chunk's `pairwise` block and
+    transposed copy are alive together.  K = 1 also holds the N candidates
+    and their N objectives.
     """
-    return _solver_bytes(n, k, *_plan(n, k))
-
-
-def _solver_bytes(n: int, k: int, rounds: np.ndarray, scratch: tuple[int, ...]) -> int:
-    """`estimate_solver_bytes` for a plan already made."""
     levels = sum(math.comb(n, j) * j * 8 for j in range(1, k))
     if k == 1:
         return levels + 8 * ((_FLY_THREADS + 1) * _chunk_rows(n) * n + 2 * n)
     rows = _build_rows(n)
     build = _threads(-(-n // rows)) * rows * n
+    scratch = _scratch(n, k)
     # numpy buffers the broadcast `minimum` of scoring: at most three
-    # operands of `getbufsize()` floats
-    ufunc = 3 * np.getbufsize()
-    return levels + 8 * (n * n + build + sum(scratch) + ufunc) + rounds.nbytes
+    # operands of `_BUFSIZE` floats
+    ufunc = 3 * _BUFSIZE
+    # the row offsets of a tile hold one integer per row; a run of new
+    # level rows (see `_levels`) holds k+1 while it is built
+    run = max(_CHUNK_ELEMS // 8, math.comb(n - 1, k - 2)) if k > 2 else 0
+    extra = scratch[5] + (k + 1) * min(math.comb(n, k - 1), run)
+    return levels + 8 * (n * n + build + sum(scratch) + ufunc + extra)
 
 
-def _batches(n: int, k: int):
-    """The scoring schedule: yields (p, lo, hi, p0) for K >= 2.
-
-    After step p, the size k-1 partials in store rows lo:hi, created at
-    steps p0 .. p, are scored against every point q > p0.  Consecutive
-    steps are batched until that work reaches `_BATCH_ELEMS` floats, so
-    the fixed cost of a scoring round stays small next to its work at
-    small N; step n-2, the last with a later point, closes the final batch.
-    """
-    lo, p0 = 0, k - 2
-    for p in range(k - 2, n - 1):
-        hi = math.comb(p + 1, k - 1)
-        if p == n - 2 or (hi - lo) * (n - 1 - p0) * n >= _BATCH_ELEMS:
-            yield p, lo, hi, p0
-            lo, p0 = hi, p + 1
+def _shape(n: int, k: int) -> tuple[int, int, int]:
+    """(partials per group, rows per tile, repeats of a point's row) for
+    K >= 2.  A group's row-mins and a tile each hold at most
+    `_CHUNK_ELEMS` floats, or one length-N row when N is larger, and a
+    tile no more rows than a group's values; a point's row is repeated
+    to fill at least one `_BUFSIZE` run, and a full group is a whole
+    number of repeats."""
+    rows = max(1, _CHUNK_ELEMS // n)
+    reps = -(-_BUFSIZE // (n + 1))
+    g = min(math.comb(n - 1, k - 1), max(reps, rows // reps * reps))
+    return g, max(-(-g // reps) * reps, min(rows, g * (n - k + 1))), reps
 
 
-def _block_shape(n: int, m: int, p0: int) -> tuple[int, int]:
-    """(later points, partials) per scoring block for a batch of m partials
-    starting at step p0: at most `_CHUNK_ELEMS` floats, or one length-N
-    row when N is larger."""
-    qb = min(n - 1 - p0, max(1, _CHUNK_ELEMS // n))
-    return qb, min(m, max(1, _CHUNK_ELEMS // (qb * n)))
-
-
-def _plan(n: int, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The scoring rounds of a solve, one (p, lo, hi, p0, qb, mb) row per
-    round in step order, p the step after which it runs, and the floats
-    of scratch they need for the scoring block, the row-min and the gather
-    buffer.  K = 1 has neither."""
+def _scratch(n: int, k: int) -> tuple[int, ...]:
+    """Floats of scoring scratch, K >= 2: a group's zero-led row-mins,
+    padded to a whole number of repeats, the gather buffer, a tile's
+    later points, each repeated, the tile, the values of a group and one
+    tile's sums; K = 1 needs none.  A group's later points are those
+    above its first partial's last point, at most N-K+1 of them."""
     if k == 1:
-        return np.empty((0, 6), dtype=np.int64), ()
-    rounds = np.array(
-        [(p, lo, hi, p0, *_block_shape(n, hi - lo, p0)) for p, lo, hi, p0 in _batches(n, k)],
-        dtype=np.int64,
-    )
-    qb, mb = rounds[:, 4], rounds[:, 5]
-    rows = int(mb.max()) * n
-    block = int((qb * mb).max()) * n
-    return rounds, (block, rows, rows if k > 2 else 0)
+        return ()
+    g, rows, reps = _shape(n, k)
+    nq = n - k + 1
+    return (-(-g // reps) * reps * (n + 1), g * n, min(rows // reps, nq) * reps * (n + 1),
+            rows * (n + 1), g * nq, rows)
 
 
-def _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
-    """Score the partials store[lo:hi], created at steps p0 and later,
-    against every point q > p0.
+def _levels(n: int, k: int, log: Optional[list[list[int]]]) -> list[np.ndarray]:
+    """The level stores of partials of sizes 0 .. k-1, each in colex order.
 
-    Yields (values, q0, r0) blocks in which values[i, j] is the objective
-    of store[r0 + j] extended by q0 + i, or +inf where q0 + i is not above
-    the partial's last point.  A partial's row-min over the medoid-major
-    matrix `dt` is built once per block and each objective is the sum of
-    one contiguous length-N row, so values are bit-equal to `evaluate_batch`'s.
+    They grow one point at a time: step p appends each size j-1 partial
+    that ends below p, plus p, to level j, after the retained prefix.
+    Level 1 is the points in order; each higher level is filled for runs
+    of steps at once.  `log`, if given, receives each level's size after
+    each step.
+    """
+    arrays = [np.empty((math.comb(n, j), j), dtype=np.int64) for j in range(k)]
+    if k > 1:
+        arrays[1][:, 0] = np.arange(n)
+    for j in range(2, k):
+        counts = [math.comb(s, j - 1) for s in range(n)]
+        p = j - 1
+        while p < n:
+            # the steps p .. e-1, in runs of at most _CHUNK_ELEMS // 8 new
+            # rows or one step
+            e, run = p + 1, counts[p]
+            while e < n and run + counts[e] <= _CHUNK_ELEMS // 8:
+                run += counts[e]
+                e += 1
+            block = arrays[j][math.comb(p, j) : math.comb(e, j)]
+            # row i of step s takes partial i - (rows of the earlier steps)
+            firsts = np.repeat(np.cumsum(counts[p:e]) - counts[p:e], counts[p:e])
+            block[:, :-1] = arrays[j - 1][np.arange(run) - firsts]
+            block[:, -1] = np.repeat(np.arange(p, e), counts[p:e])
+            p = e
+    if log is not None:
+        log.extend([math.comb(p + 1, j) for j in range(k)] for p in range(n))
+    return arrays
+
+
+def _score_partials(dt, store, g, cap, reps, buffers):
+    """Score every size K-1 partial in `store` against every later point.
+
+    Yields (values, r0, p0, scored) per group of g consecutive partials,
+    where p0 is the last point of the group's first partial: values[i, j]
+    is the objective of store[r0 + j] extended by q = p0 + 1 + i, or +inf
+    where q is not above that partial's last point, and `scored` counts
+    the finite entries.  A group's row-mins over the medoid-major matrix
+    `dt` are built once.  A tile takes a run of later points and the
+    prefix of the group that they extend, as many points as keep it
+    within `cap` rows.  Its `minimum` is point-major, and each point's
+    row, repeated `reps` times, meets `reps` row-mins at once, so that
+    both operands run contiguously.
+
+    Rows are led by a 0.0, and `add.reduceat` sums each zero-led row:
+    it starts from that 0.0 and adds numpy's pairwise sum of the N
+    entries, which is what `add.reduce` of the row computes, so values
+    are bit-equal to `evaluate_batch`'s; it skips the per-row cost that
+    `add.reduce` pays when N is small.
     """
     n = dt.shape[0]
-    block_buf, rowmin_buf, gather_buf = buffers
-    for r0 in range(lo, hi, mb):
-        parts = store[r0 : min(r0 + mb, hi)]
+    w = n + 1
+    rows_buf, gather_buf, points_buf, tile_buf, values_buf, sums_buf = buffers
+    # the zero-led layouts keep their leading zeros whatever the shape
+    rows_buf[::w] = 0.0
+    points_buf[::w] = 0.0
+    starts = np.arange(0, cap * w, w)
+    size = store.shape[1]
+    # the store's first C(q, K-1) partials are those below q, so the ones
+    # of a group that q extends are a prefix of it
+    below = [math.comb(q, size) for q in range(n)]
+    # partials ending at n-1 have no later point
+    total = below[n - 1]
+    for r0 in range(0, total, g):
+        parts = store[r0 : min(r0 + g, total)]
         m = parts.shape[0]
-        rowmin = rowmin_buf[: m * n].reshape(m, n)
-        np.take(dt, parts[:, 0], axis=0, out=rowmin, mode="clip")
-        for j in range(1, parts.shape[1]):
-            gather = gather_buf[: m * n].reshape(m, n)
-            np.take(dt, parts[:, j], axis=0, out=gather, mode="clip")
-            np.minimum(rowmin, gather, out=rowmin)
-        last = parts[:, -1]
-        for q0 in range(p0 + 1, n, qb):
-            nb = min(qb, n - q0)
-            # numpy runs the broadcast fastest with the smaller count outermost
-            if m < nb:
-                block = block_buf[: nb * m * n].reshape(m, nb, n)
-                np.minimum(rowmin[:, None], dt[None, q0 : q0 + nb], out=block)
-                values = np.add.reduce(block, axis=2).T
+        p0 = int(parts[0, -1])
+        nq = n - 1 - p0
+        rows = rows_buf[: -(-m // reps) * reps * w].reshape(-1, w)
+        rows[m:, 1:] = 0.0
+        rowmin = rows[:m, 1:]
+        # gathers go to contiguous buffers, the tile's being free until the
+        # group's first tile: `take` into a strided `out` would copy through
+        # a temporary
+        head = gather_buf[: m * n].reshape(m, n)
+        dt.take(parts[:, 0], axis=0, out=head, mode="clip")
+        if size == 1:
+            np.copyto(rowmin, head)
+        other = tile_buf[: m * n].reshape(m, n)
+        for j in range(1, size):
+            dt.take(parts[:, j], axis=0, out=other, mode="clip")
+            np.minimum(head, other, out=rowmin if j == size - 1 else head)
+        values = values_buf[: nq * m].reshape(nq, m)
+        valid = [min(m, c - r0) for c in below[p0 + 1 : n]]
+        padded = [-(-v // reps) * reps for v in valid]
+        c0 = 0
+        while c0 < nq:
+            # widen the tile while it stays within `cap` rows
+            b = 1
+            while c0 + b < nq and (b + 1) * padded[c0 + b] <= cap:
+                b += 1
+            mt = valid[c0 + b - 1]
+            # repeating a point's row pays only when it meets many row-mins
+            r = reps if mt >= 4 * reps else 1
+            chunks = -(-mt // r)
+            points = points_buf[: b * r * w].reshape(b, 1, r, w)
+            points[:, 0, :, 1:] = dt[p0 + 1 + c0 : p0 + 1 + c0 + b, None]
+            tile = tile_buf[: b * chunks * r * w]
+            np.minimum(points, rows[: chunks * r].reshape(1, chunks, r, w),
+                       out=tile.reshape(b, chunks, r, w))
+            if b == 1:
+                np.add.reduceat(tile[: mt * w], starts[:mt], out=values[c0, :mt])
             else:
-                block = block_buf[: nb * m * n].reshape(nb, m, n)
-                np.minimum(dt[q0 : q0 + nb, None], rowmin[None], out=block)
-                values = np.add.reduce(block, axis=2)
-            if last[-1] >= q0:
-                values[np.arange(q0, q0 + nb)[:, None] <= last] = np.inf
-            yield values, q0, r0
+                sums = sums_buf[: b * chunks * r]
+                np.add.reduceat(tile, starts[: b * chunks * r], out=sums)
+                values[c0 : c0 + b, :mt] = sums.reshape(b, chunks * r)[:, :mt]
+            # a partial extends only by q above its last point: the rows
+            # past a point's prefix, unset or scored by a wider tile, are +inf
+            for c in range(c0, c0 + b):
+                if valid[c] < m:
+                    values[c, valid[c] :] = np.inf
+            c0 += b
+        yield values, r0, p0, sum(valid)
 
 
-def check_solvable(ds: Dataset, params: SolverParams) -> tuple[int, np.ndarray, tuple[int, ...]]:
+def check_solvable(ds: Dataset, params: SolverParams) -> int:
     """Make every refusal of `solve_ekm` (the instance, `RankOverflow`, the
-    memory budget) before any distance is computed; return K and the plan."""
+    memory budget) before any distance is computed; return K."""
     k = check_instance(ds, params.k)
     if math.comb(ds.n, k) > _INT64_MAX:
         raise RankOverflow(
             f"C({ds.n}, {k}) = {math.comb(ds.n, k)} exceeds the 64-bit "
             f"configuration counter"
         )
-    rounds, sizes = _plan(ds.n, k)
-    estimate = _solver_bytes(ds.n, k, rounds, sizes)
+    estimate = estimate_solver_bytes(ds.n, k)
     if estimate > params.memory_budget_bytes:
         raise InstanceTooLarge(
             f"estimated {estimate} bytes of solver memory "
@@ -184,7 +268,7 @@ def check_solvable(ds: Dataset, params: SolverParams) -> tuple[int, np.ndarray, 
             f"byte budget",
             estimate=estimate,
         )
-    return k, rounds, sizes
+    return k
 
 
 def solve_ekm(
@@ -202,74 +286,53 @@ def solve_ekm(
     exceed the memory budget, reporting the estimate instead of exhausting
     memory, and a `cache` built on another dataset.
     """
-    k, rounds, sizes = check_solvable(ds, params)
+    k = check_solvable(ds, params)
     t0 = time.perf_counter()
     # for K >= 2, check_solvable counted the matrix this builds
     cache = _solve_cache(ds, cache, params.metric, params.distance_budget())
     n = ds.n
-    # preallocated level stores for sizes 1 .. k-1; level 0 is the implicit
-    # empty configuration
-    capacity = [math.comb(n, j) for j in range(k)]
-    arrays = [np.empty((capacity[j], j), dtype=np.int64) for j in range(k)]
-    counts = [1] + [0] * (k - 1)
-    store = arrays[k - 1]
-    if k > 1:
-        # scoring reads whole rows, so a passed on-the-fly cache is precomputed here
-        if cache.mode != "precomputed":
-            cache = distance_cache(ds, cache.metric, 8 * n * n)
-        dt = cache.matrix
-        # one scratch allocation per solve, split into the three buffers
-        buffers = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    level_log: Optional[list[list[int]]] = [] if record_level_sizes else None
+    store = _levels(n, k, level_log)[k - 1]
     # the incumbent orders by (objective, colex rank); every objective is
     # finite (see DistanceCache), so the +inf of a skipped entry never wins
     best_val = math.inf
     best_rank = best_row = best_q = -1
-    evaluated = 0
-    r = 0  # the next round of the plan, run after step `at`
-    at = int(rounds[0, 0]) if len(rounds) else n
-    level_log: Optional[list[list[int]]] = [] if record_level_sizes else None
-    for p in range(n):
-        # extend the store: append each size j-1 partial + p to level j,
-        # after the retained prefix (keeps colex order)
-        for j in range(k - 1, 0, -1):
-            m = counts[j - 1]
-            if m == 0:
-                continue
-            dst = arrays[j]
-            lo = counts[j]
-            if j > 1:
-                dst[lo : lo + m, : j - 1] = arrays[j - 1][:m]
-            dst[lo : lo + m, j - 1] = p
-            counts[j] += m
-        if level_log is not None:
-            level_log.append(list(counts))
-        if p != at:
-            continue
-        lo, hi, p0, qb, mb = rounds[r, 1:].tolist()
-        r += 1
-        at = int(rounds[r, 0]) if r < len(rounds) else n
-        evaluated += int((n - 1 - store[lo:hi, -1]).sum())
-        for values, q0, r0 in _score_partials(dt, store, lo, hi, p0, qb, mb, buffers):
-            flat = int(values.argmin())
-            vmin = float(values.flat[flat])
-            if vmin > best_val:
-                continue
-            dq, dr = divmod(flat, values.shape[1])
-            q, row = q0 + dq, r0 + dr
-            rank = math.comb(q, k) + row
-            if vmin < best_val or rank < best_rank:
-                best_val, best_rank, best_row, best_q = vmin, rank, row, q
     if k == 1:
         # the colex rank of {q} is q, so the first minimum wins the tie rule
         values = evaluate_batch(ds, np.arange(n)[:, None], cache)
         best_q = best_rank = int(values.argmin())
         best_val, best_row, evaluated = float(values[best_q]), 0, n
+    else:
+        # scoring reads whole rows, so a passed on-the-fly cache is precomputed here
+        if cache.mode != "precomputed":
+            cache = distance_cache(ds, cache.metric, 8 * n * n)
+        sizes = _scratch(n, k)
+        # one scratch buffer, cut into the six
+        scratch = _scratch_buffer(sum(sizes))
+        ends = list(itertools.accumulate(sizes))
+        buffers = [scratch[e - size : e] for e, size in zip(ends, sizes)]
+        evaluated = 0
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            for values, r0, p0, scored in _score_partials(cache.matrix, store, *_shape(n, k), buffers):
+                evaluated += scored
+                flat = int(values.argmin())
+                vmin = float(values.flat[flat])
+                if vmin > best_val:
+                    continue
+                dq, dr = divmod(flat, values.shape[1])
+                q, row = p0 + 1 + dq, r0 + dr
+                rank = math.comb(q, k) + row
+                if vmin < best_val or rank < best_rank:
+                    best_val, best_rank, best_row, best_q = vmin, rank, row, q
+        finally:
+            np.setbufsize(bufsize)
     if best_rank < 0:
         raise DistanceOverflow("no medoid set has a finite objective")
     medoids = np.append(store[best_row], best_q)
     check = evaluate_objective(ds, medoids, cache)
     if check != best_val:
-        raise AssertionError(
+        raise ExactKMedoidsError(
             f"objective drift: streamed {best_val!r} vs recomputed {check!r}"
         )
     labels = assign(ds, medoids, cache)

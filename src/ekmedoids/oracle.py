@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DistanceOverflow, InstanceTooLarge
+from .errors import DistanceOverflow, ExactKMedoidsError, InstanceTooLarge
 from .metrics import DistanceCache, _solve_cache, assign, evaluate_batch, evaluate_objective
 from .problem import Solution, SolverParams, check_instance
 
@@ -75,7 +75,7 @@ def solve_exhaustive(
         raise DistanceOverflow("no medoid set has a finite objective")
     check = evaluate_objective(ds, best_cfg, cache)
     if check != best_val:
-        raise AssertionError(
+        raise ExactKMedoidsError(
             f"objective drift: block minimum {best_val!r} vs recomputed {check!r}"
         )
     labels = assign(ds, best_cfg, cache)

@@ -33,6 +33,7 @@ from ekmedoids import (
     fit_slope,
     get_metric,
     load_csv,
+    ns_per_distance_min,
     pam,
     run_scaling,
     solve_ekm,
@@ -168,6 +169,9 @@ def test_a5_runtime_slopes():
     slope3 = fit_slope(recs3)
     print(f"a5: K=2 slope {slope2:.3f} (want [2.65, 3.35]), "
           f"K=3 slope {slope3:.3f} (want [3.6, 4.4])")
+    costs = [" ".join(f"{n}:{ns:.3f}" for n, ns in ns_per_distance_min(recs).items())
+             for recs in (recs2, recs3)]
+    print(f"a5 ns per distance-min: K=2 {costs[0]}; K=3 {costs[1]}")
     assert 2.65 <= slope2 <= 3.35, f"K=2 slope {slope2:.3f} outside [2.65, 3.35]"
     assert 3.6 <= slope3 <= 4.4, f"K=3 slope {slope3:.3f} outside [3.6, 4.4]"
 

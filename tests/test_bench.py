@@ -90,6 +90,19 @@ def test_fit_slope_exact_cubic():
     assert fit_slope(records) == pytest.approx(3.0, abs=1e-9)
 
 
+def test_ns_per_distance_min_is_the_median_per_size():
+    recs = [
+        ScalingRecord(k=2, n=n, rep=r, seed=r, wall_time_seconds=t,
+                      evaluated_configurations=math.comb(n, 2))
+        for n, ts in [(100, (1e-3, 2e-3, 9.0)), (200, (8e-3,))]
+        for r, t in enumerate(ts)
+    ]
+    costs = bench.ns_per_distance_min(recs)
+    assert list(costs) == [100, 200]
+    assert costs[100] == pytest.approx(2e-3 / (4950 * 100) * 1e9)
+    assert costs[200] == pytest.approx(8e-3 / (19900 * 200) * 1e9)
+
+
 def test_fit_slope_uses_median_over_reps():
     base = fake_records([100, 200, 400], [1.0, 8.0, 64.0])
     # one wild outlier rep per n must not move the median

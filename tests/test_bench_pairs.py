@@ -62,3 +62,33 @@ def test_machine_records_the_cpus_the_runs_may_use():
     assert m["nproc"] == os.cpu_count()
     assert m["affinity"] == len(os.sched_getaffinity(0))
     assert 1 <= m["affinity"] <= m["nproc"]
+
+
+A5_OUT = (
+    "a5: K=2 slope 2.874 (want [2.65, 3.35]), K=3 slope 3.912 (want [3.6, 4.4])\n"
+    "a5 ns per distance-min: K=2 100:1.250 200:0.900 400:0.800; K=3 50:1.400 300:0.700\n"
+)
+
+
+def test_parse_a5_reads_slopes_and_per_size_costs():
+    run = bench_pairs.parse_a5("....\n" + A5_OUT + "1 passed\n")
+    assert run["k2"] == 2.874 and run["k3"] == 3.912
+    assert run["ns_per_dmin"] == {"2": {100: 1.25, 200: 0.9, 400: 0.8},
+                                  "3": {50: 1.4, 300: 0.7}}
+
+
+def test_parse_a5_of_a_gate_without_costs_records_slopes_only():
+    run = bench_pairs.parse_a5(A5_OUT.splitlines()[0] + "\n")
+    assert run == {"k2": 2.874, "k3": 3.912}
+    with pytest.raises(RuntimeError):
+        bench_pairs.parse_a5("1 passed\n")
+
+
+def test_cost_table_takes_the_median_per_size():
+    runs = [bench_pairs.parse_a5(A5_OUT),
+            bench_pairs.parse_a5(A5_OUT.replace("100:1.250", "100:2.000")),
+            bench_pairs.parse_a5(A5_OUT.replace("100:1.250", "100:1.500")),
+            {"k2": 2.9, "k3": 3.9}]
+    table = bench_pairs.cost_table(runs)
+    assert table["2"][100] == 1.5 and table["3"] == {50: 1.4, 300: 0.7}
+    assert bench_pairs.cost_table(runs[3:]) == {}

@@ -118,6 +118,20 @@ def test_overflowing_distances_exit_3(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_objective_drift_is_typed_and_exits_3(toy_csv, capsys, monkeypatch):
+    # a verify that disagrees with the streamed minimum raises the package's
+    # base error, not a bare AssertionError, and the CLI maps it to 3
+    from ekmedoids import ExactKMedoidsError, SolverParams, ekm, solve_ekm, synthetic
+
+    real = ekm.evaluate_objective
+    monkeypatch.setattr(ekm, "evaluate_objective", lambda *a: real(*a) + 1.0)
+    with pytest.raises(ExactKMedoidsError, match="objective drift"):
+        solve_ekm(synthetic(12, 2, 2, seed=0), SolverParams(k=2))
+    code = run(["cluster", "--input", toy_csv, "--k", "2"])
+    assert code == 3
+    assert "objective drift" in capsys.readouterr().err
+
+
 def test_k_larger_than_n_exits_3(toy_csv, capsys):
     code = run(["cluster", "--input", toy_csv, "--k", "9"])
     assert code == 3

@@ -246,8 +246,8 @@ def test_k1_memory_does_not_grow_with_the_cpu_count(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, k, chunk",
-    [(800, 2, None), (50, 3, None), (12, 5, None), (800, 2, 1 << 12)],
-    ids=["n800-k2", "n50-k3", "n12-k5", "build-bound"],
+    [(800, 2, None), (50, 3, None), (12, 5, None), (40, 4, None), (800, 2, 1 << 12)],
+    ids=["n800-k2", "n50-k3", "n12-k5", "n40-k4", "build-bound"],
 )
 def test_memory_estimate_bounds_a_solve_that_builds_its_matrix(monkeypatch, n, k, chunk):
     # with no cache passed, a K >= 2 solve builds its matrix, a block in
@@ -297,19 +297,19 @@ def test_prebuilt_matrix_is_not_copied():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 8 * sum(ekm._plan(n, k)[1]) < 4 * n * n
+    assert peak - 8 * sum(ekm._scratch(n, k)) < 4 * n * n
 
 
 @pytest.mark.parametrize(
-    "chunk, batch",
-    [(1, 1 << 16), (7, 1 << 62), (1 << 23, 1)],
-    ids=["one-config-blocks", "one-batch", "one-step-rounds"],
+    "chunk",
+    [1, 1 << 62, 40],
+    ids=["one-config-blocks", "one-batch", "small-groups"],
 )
-def test_ties_across_scoring_blocks(monkeypatch, chunk, batch):
-    # integer-grid points with many duplicates make many exact ties; tiny
-    # blocks and odd batchings split tied sets across calls and steps
+def test_ties_across_scoring_blocks(monkeypatch, chunk):
+    # integer-grid points with many duplicates make many exact ties; groups
+    # of one partial with tiles of one point, one group and tile for the
+    # whole store, and groups of 3-8 partials split tied sets across calls
     monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
-    monkeypatch.setattr(ekm, "_BATCH_ELEMS", batch)
     rng = np.random.default_rng(2024)
     for _ in range(12):
         n = int(rng.integers(5, 14))
@@ -321,6 +321,73 @@ def test_ties_across_scoring_blocks(monkeypatch, chunk, batch):
             assert a.objective.hex() == b.objective.hex()
             assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
             assert a.evaluated_configurations == math.comb(n, k)
+
+
+@pytest.mark.parametrize(
+    "chunk, bufsize",
+    [(3 * 9, 16), (40 * 9, 16), (1 << 62, 1024)],
+    ids=["groups-split-steps", "repeated-rows", "one-group"],
+)
+def test_ties_across_block_shapes_k2_to_k5(monkeypatch, chunk, bufsize):
+    # at N = 9, with point rows repeated twice per 16-float buffer: groups
+    # of 2 partials that start and end inside a step's partials (K >= 3)
+    # and span several steps; groups of up to 40 whose tiles take several
+    # points, with and without repeated rows; one group for everything
+    monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
+    monkeypatch.setattr(ekm, "_BUFSIZE", bufsize)
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        ds = Dataset(points=rng.integers(0, 3, size=(9, 2)).astype(float))
+        cache = cache_for(ds)
+        for k in range(2, 6):
+            a = solve_ekm(ds, SolverParams(k=k), cache=cache)
+            b = solve_exhaustive(ds, SolverParams(k=k), cache=cache)
+            assert a.objective.hex() == b.objective.hex()
+            assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
+            assert a.evaluated_configurations == math.comb(9, k)
+
+
+def test_all_zero_distances_keep_the_oracle_bits():
+    # every objective is a sum of zeros; the zero-led sums must keep its sign
+    ds = Dataset(points=np.zeros((7, 2)))
+    cache = cache_for(ds)
+    for k in range(2, 5):
+        a = solve_ekm(ds, SolverParams(k=k), cache=cache)
+        b = solve_exhaustive(ds, SolverParams(k=k), cache=cache)
+        assert a.objective.hex() == b.objective.hex() == (0.0).hex()
+        assert a.medoid_indices.tolist() == b.medoid_indices.tolist() == list(range(k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 50, 127, 128, 129, 300, 1600, 8191, 8192, 8193, 20000])
+def test_zero_led_reduceat_is_the_row_sum(n):
+    # scoring sums each row as `add.reduceat` over the row led by a 0.0,
+    # into a slice of a larger values array, under the solver's buffer
+    # size: the bits must be those of `add.reduce` over the row alone
+    rng = np.random.default_rng(n)
+    rows = rng.random((16, n)) * 10.0 ** rng.integers(-3, 7, size=(16, 1))
+    led = np.zeros((16, n + 1))
+    led[:, 1:] = rows
+    values = np.full((3, 20), np.nan)
+    old = np.setbufsize(ekm._BUFSIZE)
+    try:
+        np.add.reduceat(led.ravel(), np.arange(0, 16 * (n + 1), n + 1), out=values[1, 2:18])
+    finally:
+        np.setbufsize(old)
+    assert values[1, 2:18].tobytes() == np.add.reduce(rows, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 50, 129, 300])
+def test_zero_led_row_sums_match_evaluate_batch(n):
+    # the solver's objectives, one zero-led row-min per pair summed by
+    # `add.reduceat`, against `evaluate_batch` on the same sets
+    ds = synthetic(n, 2, 2, seed=n)
+    cache = cache_for(ds)
+    dt = cache.matrix
+    pairs = np.array([(a, q) for q in range(n) for a in range(q)][:40], dtype=np.int64)
+    led = np.zeros((len(pairs), n + 1))
+    led[:, 1:] = np.minimum(dt[pairs[:, 0]], dt[pairs[:, 1]])
+    got = np.add.reduceat(led.ravel(), np.arange(0, led.size, n + 1))
+    assert got.tobytes() == evaluate_batch(ds, pairs, cache).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
