@@ -7,13 +7,8 @@ the acceptance gate (up to n=1600, plus a K=3 sweep) push it to a few
 minutes and tighten the fit.
 """
 
-from ekmedoids import (
-    fit_slope,
-    ns_per_distance_min,
-    run_scaling,
-    scaling_csv_text,
-    scaling_summary,
-)
+from ekmedoids import fit_slope, run_scaling, scaling_summary, scaling_csv_text
+from ekmedoids.bench import ns_per_distance_min
 
 sizes = (100, 200, 400, 800)
 print(f"K=2 sweep over n in {sizes}, 3 reps each (synthetic Gaussian mixtures)")

@@ -17,7 +17,6 @@ from .bench import (
     ScalingRecord,
     compare,
     fit_slope,
-    ns_per_distance_min,
     run_scaling,
     scaling_csv_text,
     scaling_summary,
@@ -80,7 +79,6 @@ __all__ = [
     "evaluate_objective",
     "fasterpam",
     "fit_slope",
-    "ns_per_distance_min",
     "get_metric",
     "list_metrics",
     "load_csv",

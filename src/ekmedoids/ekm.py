@@ -59,12 +59,13 @@ _CHUNK_ELEMS = 1 << 16
 # numpy's ufunc buffer size while scoring, in floats (numpy's default is
 # 8192).  numpy copies the operands of a broadcast `minimum` through
 # buffers of this size when its contiguous runs are shorter; scoring runs
-# are at least this long, or short enough that the copy pays
+# are at least this long.  At numpy's default, K=3 at N=200 and K=2 at
+# N=640 solved about a third slower
 _BUFSIZE = 1024
 
 # each thread keeps the scoring scratch of its largest solve so far: a
-# fresh page faults on first touch, and at N = 50..100 the faults on a
-# fresh scratch cost about half as much as the scoring itself
+# fresh one page faults on first touch, which in the a5 sweep made K=2 at
+# N=100 cost about a quarter more per distance-min
 _SCRATCH = threading.local()
 
 
@@ -103,7 +104,11 @@ def estimate_solver_bytes(n: int, k: int) -> int:
     # level rows (see `_levels`) holds k+1 while it is built
     run = max(_CHUNK_ELEMS // 8, math.comb(n - 1, k - 2)) if k > 2 else 0
     extra = scratch[5] + (k + 1) * min(math.comb(n, k - 1), run)
-    return levels + 8 * (n * n + build + sum(scratch) + ufunc + extra)
+    # finding a group's first valid entry at its minimum takes two boolean
+    # masks of its values, one byte each, and an index per value column
+    # and row
+    ties = 2 * scratch[4] + 8 * (scratch[5] + n)
+    return levels + 8 * (n * n + build + sum(scratch) + ufunc + extra) + ties
 
 
 def _shape(n: int, k: int) -> tuple[int, int, int]:
@@ -112,10 +117,11 @@ def _shape(n: int, k: int) -> tuple[int, int, int]:
     `_CHUNK_ELEMS` floats, or one length-N row when N is larger, and a
     tile no more rows than a group's values; a point's row is repeated
     to fill at least one `_BUFSIZE` run, and a full group is a whole
-    number of repeats."""
+    number of repeats, or one partial when a repeat alone is over
+    `_CHUNK_ELEMS`."""
     rows = max(1, _CHUNK_ELEMS // n)
     reps = -(-_BUFSIZE // (n + 1))
-    g = min(math.comb(n - 1, k - 1), max(reps, rows // reps * reps))
+    g = min(math.comb(n - 1, k - 1), max(1, rows // reps * reps))
     return g, max(-(-g // reps) * reps, min(rows, g * (n - k + 1))), reps
 
 
@@ -140,7 +146,7 @@ def _levels(n: int, k: int, log: Optional[list[list[int]]]) -> list[np.ndarray]:
     that ends below p, plus p, to level j, after the retained prefix.
     Level 1 is the points in order; each higher level is filled for runs
     of steps at once.  `log`, if given, receives each level's size after
-    each step.
+    each step, counted in the filled stores.
     """
     arrays = [np.empty((math.comb(n, j), j), dtype=np.int64) for j in range(k)]
     if k > 1:
@@ -162,21 +168,26 @@ def _levels(n: int, k: int, log: Optional[list[list[int]]]) -> list[np.ndarray]:
             block[:, -1] = np.repeat(np.arange(p, e), counts[p:e])
             p = e
     if log is not None:
-        log.extend([math.comb(p + 1, j) for j in range(k)] for p in range(n))
+        # level j after step p holds its partials that end at or below p
+        ends = [np.full(n, len(arrays[0]))] + [
+            np.searchsorted(arrays[j][:, -1], np.arange(n), side="right") for j in range(1, k)
+        ]
+        log.extend(list(map(int, sizes)) for sizes in zip(*ends))
     return arrays
 
 
 def _score_partials(dt, store, g, cap, reps, buffers):
     """Score every size K-1 partial in `store` against every later point.
 
-    Yields (values, r0, p0, scored) per group of g consecutive partials,
+    Yields (values, r0, p0, valid) per group of g consecutive partials,
     where p0 is the last point of the group's first partial: values[i, j]
-    is the objective of store[r0 + j] extended by q = p0 + 1 + i, or +inf
-    where q is not above that partial's last point, and `scored` counts
-    the finite entries.  A group's row-mins over the medoid-major matrix
-    `dt` are built once.  A tile takes a run of later points and the
-    prefix of the group that they extend, as many points as keep it
-    within `cap` rows.  Its `minimum` is point-major, and each point's
+    is the objective of store[r0 + j] extended by q = p0 + 1 + i for
+    j < valid[i], the partials that end below q.  Past that prefix an
+    entry is +inf, or, where a wider tile scored it, the sum for q and a
+    partial that does not end below q (see `solve_ekm`).  A group's
+    row-mins over the medoid-major matrix `dt` are built once.  A tile
+    takes a run of later points and the prefix of the group that they
+    extend, as many points as keep it within `cap` rows.  Its `minimum` is point-major, and each point's
     row, repeated `reps` times, meets `reps` row-mins at once, so that
     both operands run contiguously.
 
@@ -219,6 +230,7 @@ def _score_partials(dt, store, g, cap, reps, buffers):
             dt.take(parts[:, j], axis=0, out=other, mode="clip")
             np.minimum(head, other, out=rowmin if j == size - 1 else head)
         values = values_buf[: nq * m].reshape(nq, m)
+        values.fill(np.inf)
         valid = [min(m, c - r0) for c in below[p0 + 1 : n]]
         padded = [-(-v // reps) * reps for v in valid]
         c0 = 0
@@ -228,27 +240,20 @@ def _score_partials(dt, store, g, cap, reps, buffers):
             while c0 + b < nq and (b + 1) * padded[c0 + b] <= cap:
                 b += 1
             mt = valid[c0 + b - 1]
-            # repeating a point's row pays only when it meets many row-mins
-            r = reps if mt >= 4 * reps else 1
-            chunks = -(-mt // r)
-            points = points_buf[: b * r * w].reshape(b, 1, r, w)
+            chunks = -(-mt // reps)
+            points = points_buf[: b * reps * w].reshape(b, 1, reps, w)
             points[:, 0, :, 1:] = dt[p0 + 1 + c0 : p0 + 1 + c0 + b, None]
-            tile = tile_buf[: b * chunks * r * w]
-            np.minimum(points, rows[: chunks * r].reshape(1, chunks, r, w),
-                       out=tile.reshape(b, chunks, r, w))
+            tile = tile_buf[: b * chunks * reps * w]
+            np.minimum(points, rows[: chunks * reps].reshape(1, chunks, reps, w),
+                       out=tile.reshape(b, chunks, reps, w))
             if b == 1:
                 np.add.reduceat(tile[: mt * w], starts[:mt], out=values[c0, :mt])
             else:
-                sums = sums_buf[: b * chunks * r]
-                np.add.reduceat(tile, starts[: b * chunks * r], out=sums)
-                values[c0 : c0 + b, :mt] = sums.reshape(b, chunks * r)[:, :mt]
-            # a partial extends only by q above its last point: the rows
-            # past a point's prefix, unset or scored by a wider tile, are +inf
-            for c in range(c0, c0 + b):
-                if valid[c] < m:
-                    values[c, valid[c] :] = np.inf
+                sums = sums_buf[: b * chunks * reps]
+                np.add.reduceat(tile, starts[: b * chunks * reps], out=sums)
+                values[c0 : c0 + b, :mt] = sums.reshape(b, chunks * reps)[:, :mt]
             c0 += b
-        yield values, r0, p0, sum(valid)
+        yield values, r0, p0, valid
 
 
 def check_solvable(ds: Dataset, params: SolverParams) -> int:
@@ -294,7 +299,7 @@ def solve_ekm(
     level_log: Optional[list[list[int]]] = [] if record_level_sizes else None
     store = _levels(n, k, level_log)[k - 1]
     # the incumbent orders by (objective, colex rank); every objective is
-    # finite (see DistanceCache), so the +inf of a skipped entry never wins
+    # finite (see DistanceCache), so the +inf of an unscored entry never wins
     best_val = math.inf
     best_rank = best_row = best_q = -1
     if k == 1:
@@ -314,13 +319,24 @@ def solve_ekm(
         evaluated = 0
         bufsize = np.setbufsize(_BUFSIZE)
         try:
-            for values, r0, p0, scored in _score_partials(cache.matrix, store, *_shape(n, k), buffers):
-                evaluated += scored
-                flat = int(values.argmin())
-                vmin = float(values.flat[flat])
+            for values, r0, p0, valid in _score_partials(cache.matrix, store, *_shape(n, k), buffers):
+                evaluated += sum(valid)
+                vmin = float(values.min())
                 if vmin > best_val:
                     continue
-                dq, dr = divmod(flat, values.shape[1])
+                # past a point's prefix a tile scores the point with a partial
+                # that does not end below it: a K-set, whose own entry has the
+                # same bits as `minimum` is exact, or a K-1 set, which the
+                # partial's entry with its next point does not undercut.  So
+                # the minimum is a K-set's; the first valid entry at it has
+                # the group's least rank there, and if there is none, the
+                # K-set's own entry is at it in another group
+                hits = values == vmin
+                hits &= np.arange(hits.shape[1]) < np.array(valid)[:, None]
+                flat = int(hits.argmax())
+                if not hits.flat[flat]:
+                    continue
+                dq, dr = divmod(flat, hits.shape[1])
                 q, row = p0 + 1 + dq, r0 + dr
                 rank = math.comb(q, k) + row
                 if vmin < best_val or rank < best_rank:

@@ -33,7 +33,6 @@ from ekmedoids import (
     fit_slope,
     get_metric,
     load_csv,
-    ns_per_distance_min,
     pam,
     run_scaling,
     solve_ekm,
@@ -41,6 +40,7 @@ from ekmedoids import (
     standardize,
     synthetic,
 )
+from ekmedoids.bench import ns_per_distance_min
 
 from conftest import instance_corpus
 from generator_reference import gen_combs, rank_colex, unrank_colex

@@ -39,7 +39,6 @@ PUBLIC = {
     "evaluate_objective",
     "fasterpam",
     "fit_slope",
-    "ns_per_distance_min",
     "get_metric",
     "list_metrics",
     "load_csv",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -159,6 +160,20 @@ def test_counting_and_level_sizes():
         assert counts == [math.comb(n_seen, j) for j in range(3)]
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (6, 4), (12, 5), (40, 4)])
+@pytest.mark.parametrize("chunk", [8, 1 << 16], ids=["one-step-runs", "long-runs"])
+def test_level_stores_are_the_subsets_in_colex_order(monkeypatch, n, k, chunk):
+    # each level j holds every size-j subset of range(n) once, in colex
+    # order, whether its rows are filled one step at a time or many
+    monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
+    log = []
+    levels = ekm._levels(n, k, log)
+    for j, level in enumerate(levels):
+        want = sorted(itertools.combinations(range(n), j), key=lambda c: c[::-1])
+        assert level.tolist() == [list(c) for c in want]
+    assert log == [[math.comb(p + 1, j) for j in range(k)] for p in range(n)]
+
+
 def test_determinism():
     ds = synthetic(15, 3, 2, seed=31)
     a = solve_ekm(ds, SolverParams(k=2))
@@ -301,21 +316,28 @@ def test_prebuilt_matrix_is_not_copied():
 
 
 @pytest.mark.parametrize(
-    "chunk",
-    [1, 1 << 62, 40],
+    "chunk, smallest, largest",
+    [(1, 1, 1), (1 << 62, None, None), (40, 2, 6)],
     ids=["one-config-blocks", "one-batch", "small-groups"],
 )
-def test_ties_across_scoring_blocks(monkeypatch, chunk):
-    # integer-grid points with many duplicates make many exact ties; groups
-    # of one partial with tiles of one point, one group and tile for the
-    # whole store, and groups of 3-8 partials split tied sets across calls
+def test_ties_across_scoring_blocks(monkeypatch, chunk, smallest, largest):
+    # integer-grid points with many duplicates make many exact ties.  With
+    # point rows repeated 2-3 times per 16-float buffer: groups of one
+    # partial with tiles of one point; one group for the whole store, in
+    # tiles of several points; groups of 2-6 partials, tiles of 3-8 rows,
+    # that split one step's partials and span steps
     monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
+    monkeypatch.setattr(ekm, "_BUFSIZE", 16)
     rng = np.random.default_rng(2024)
     for _ in range(12):
         n = int(rng.integers(5, 14))
         ds = Dataset(points=rng.integers(0, 3, size=(n, 2)).astype(float))
         cache = cache_for(ds)
         for k in range(1, 5):
+            if k > 1:
+                g = ekm._shape(n, k)[0]
+                whole = math.comb(n - 1, k - 1)
+                assert g == whole if smallest is None else smallest <= g <= min(largest, whole)
             a = solve_ekm(ds, SolverParams(k=k), cache=cache)
             b = solve_exhaustive(ds, SolverParams(k=k), cache=cache)
             assert a.objective.hex() == b.objective.hex()
@@ -332,7 +354,7 @@ def test_ties_across_block_shapes_k2_to_k5(monkeypatch, chunk, bufsize):
     # at N = 9, with point rows repeated twice per 16-float buffer: groups
     # of 2 partials that start and end inside a step's partials (K >= 3)
     # and span several steps; groups of up to 40 whose tiles take several
-    # points, with and without repeated rows; one group for everything
+    # points; one group for everything, each point's row repeated 103 times
     monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
     monkeypatch.setattr(ekm, "_BUFSIZE", bufsize)
     rng = np.random.default_rng(13)
