@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,15 @@ def _parse_csv(text: str, has_header: bool, delimiter: str, source: str) -> Data
     if not rows:
         raise EmptyDataset(f"no data rows in {source!r}")
     width = len(rows[0])
+    if all(len(row) == width for row in rows):
+        # every cell in one pass; `float` parses each as the loop below does
+        cells = map(float, itertools.chain.from_iterable(rows))
+        try:
+            out = np.fromiter(cells, np.float64, len(rows) * width)
+        except ValueError:
+            pass  # a bad cell: the loop below names it
+        else:
+            return Dataset(out.reshape(len(rows), width), source=source)
     out = np.empty((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) != width:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
 from typing import Optional
 
@@ -43,6 +42,8 @@ from .metrics import (
     DistanceCache,
     _build_rows,
     _chunk_rows,
+    _kept_buffer,
+    _kernel_scratch,
     _solve_cache,
     _threads,
     assign,
@@ -63,18 +64,6 @@ _CHUNK_ELEMS = 1 << 16
 # N=640 solved about a third slower
 _BUFSIZE = 1024
 
-# each thread keeps the scoring scratch of its largest solve so far: a
-# fresh one page faults on first touch, which in the a5 sweep made K=2 at
-# N=100 cost about a quarter more per distance-min
-_SCRATCH = threading.local()
-
-
-def _scratch_buffer(size: int) -> np.ndarray:
-    """`size` floats of this thread's scoring scratch, grown as needed."""
-    if getattr(_SCRATCH, "buf", None) is None or _SCRATCH.buf.size < size:
-        _SCRATCH.buf = None  # free the smaller buffer first
-        _SCRATCH.buf = np.empty(size)
-    return _SCRATCH.buf[:size]
 
 
 def estimate_solver_bytes(n: int, k: int) -> int:
@@ -89,13 +78,17 @@ def estimate_solver_bytes(n: int, k: int) -> int:
     more chunk is counted for a metric that does not declare itself
     symmetric: it runs on one thread, and its chunk's `pairwise` block and
     transposed copy are alive together.  K = 1 also holds the N candidates
-    and their N objectives.
+    and their N objectives.  Each block or chunk in flight has the numpy
+    kernel's scratch row block beside it on instances small enough to
+    run that kernel.
     """
     levels = sum(math.comb(n, j) * j * 8 for j in range(1, k))
     if k == 1:
-        return levels + 8 * ((_FLY_THREADS + 1) * _chunk_rows(n) * n + 2 * n)
+        rows = _chunk_rows(n)
+        fly = (_FLY_THREADS + 1) * rows * n + _FLY_THREADS * _kernel_scratch(n, rows)
+        return levels + 8 * (fly + 2 * n)
     rows = _build_rows(n)
-    build = _threads(-(-n // rows)) * rows * n
+    build = _threads(-(-n // rows)) * (rows * n + _kernel_scratch(n, rows))
     scratch = _scratch(n, k)
     # numpy buffers the broadcast `minimum` of scoring: at most three
     # operands of `_BUFSIZE` floats
@@ -312,8 +305,11 @@ def solve_ekm(
         if cache.mode != "precomputed":
             cache = distance_cache(ds, cache.metric, 8 * n * n)
         sizes = _scratch(n, k)
-        # one scratch buffer, cut into the six
-        scratch = _scratch_buffer(sum(sizes))
+        # one scratch buffer, cut into the six; each thread keeps the one of
+        # its largest solve so far: a fresh one page faults on first touch,
+        # which in the a5 sweep made K=2 at N=100 cost about a quarter more
+        # per distance-min
+        scratch = _kept_buffer("score", sum(sizes))
         ends = list(itertools.accumulate(sizes))
         buffers = [scratch[e - size : e] for e, size in zip(ends, sizes)]
         evaluated = 0

@@ -11,12 +11,15 @@ arithmetic exactly, so cached and uncached evaluation, the fused solver,
 and the exhaustive oracle all agree bit-for-bit; ties between medoid sets
 can be broken by float equality.
 
-With a built-in metric, the matrix build runs its row blocks on every CPU
-the process may use, two blocks at least for each, and on-the-fly
-evaluation its chunks on up to three (see `_map_blocks`).
-Block boundaries do not depend on the thread count, and each block writes
-its own cells, so every distance and objective has the same bits on any
-number of threads.
+The built-in metrics compute distances with one of two kernels that give
+the same bits: a numpy kernel for small instances, and scipy's `cdist`,
+imported only when an instance too large for the numpy kernel first needs
+it (see `_kernel`).  With a built-in metric, the matrix build runs its
+row blocks on every CPU the process may use, two blocks at least for
+each, and on-the-fly evaluation its chunks on up to three (see
+`_map_blocks`).  Block boundaries do not depend on the thread count, and
+each block writes its own cells, so every distance and objective has the
+same bits on any number of threads.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
 from .errors import DistanceOverflow, InvalidArguments, ShapeError, UnknownMetric
@@ -44,9 +47,12 @@ DEFAULT_MEMORY_BUDGET = 2**32  # 4 GiB: every solver's budget unless set
 _CHUNK_ELEMS = 1 << 14
 
 # floats per reused gather buffer (precomputed `evaluate_batch`): the two
-# buffers are made once per call, not per chunk, so 256 KB each costs no
-# faults, and that oracle solve ran 15 % faster than with 2^14.  At 2^16
-# floats their frees pass glibc's trim threshold, and it took 71k faults
+# buffers serve every chunk, so 256 KB each costs no faults, and that
+# oracle solve ran 15 % faster than with 2^14.  Made fresh per call, they
+# were returned to the system between calls whenever glibc's trim
+# threshold was low, as in a process that has not imported scipy: that
+# oracle solve took 31k faults and ran 10 % slower, so each thread keeps
+# them (`_kept_buffer`)
 _BUFFER_ELEMS = 1 << 15
 
 # configs per evaluation chunk at the least, whatever N: an on-the-fly
@@ -60,22 +66,54 @@ _BUILD_ELEMS = 1 << 18
 # run on (`taskset` limits them)
 _THREADS: Optional[int] = None
 
+# pair-dims (N * N * d) up to which an instance of a built-in metric
+# computes its distances with the numpy kernel rather than scipy's `cdist`.
+# Both give the same bits.  A matrix build of this size cost 0.15-1.9 ms
+# more with the numpy kernel (d = 1 .. 48; 2-vCPU x86 box), under 1 % of
+# the 0.25-0.35 s a process spends importing `scipy.spatial.distance`;
+# at 2^22 it cost up to 9 ms more
+_NUMPY_PAIR_DIMS = 1 << 20
+
+# floats per row block of the numpy kernel: a block and its scratch of
+# the same size stay in a core's L2 cache
+_KERNEL_ELEMS = 1 << 15
+
+# per thread, the buffers `_kept_buffer` keeps between calls
+_KEPT = threading.local()
+
 # threads of on-the-fly `evaluate_batch` at most: each holds one chunk of
 # distance rows, so this bounds a K = 1 solve's memory whatever the CPU count
 _FLY_THREADS = 3
+
+
+def _kept_buffer(use: str, size: int, dtype=np.float64) -> np.ndarray:
+    """`size` elements of this thread's buffer for `use`, grown as needed.
+
+    The buffer outlives the call, so repeated calls touch no fresh pages:
+    a fresh array faults its pages in again whenever glibc has returned
+    the heap's top to the system since the last call."""
+    buf = getattr(_KEPT, use, None)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        setattr(_KEPT, use, None)  # free the smaller buffer first
+        buf = np.empty(size, dtype)
+        setattr(_KEPT, use, buf)
+    return buf[:size]
 
 
 @dataclass(frozen=True)
 class Metric:
     """A named distance function with a vectorized pairwise form.
 
-    `pairwise(X, Y)` returns the (len(X), len(Y)) matrix of distances and is
-    the single source of truth; the scalar form evaluates `pairwise` on
-    1-row matrices so both agree bit-exactly.  No triangle inequality is
-    assumed, only d(x, x) = 0 and finite nonnegative values on finite
-    inputs.  Symmetry is used only when a metric declares it: `symmetric`
-    promises d(x, y) == d(y, x) bit for bit, which the built-in metrics
-    keep and metrics from `register_metric` are not assumed to.
+    `pairwise(X, Y)` returns the (len(X), len(Y)) matrix of distances; the
+    scalar form evaluates `pairwise` on 1-row matrices so both agree
+    bit-exactly.  A built-in metric's `pairwise` picks one of its two
+    kernels, which give the same bits, by the size of each call; a
+    distance cache picks one per instance (`_kernel`).  No triangle
+    inequality is assumed, only d(x, x) = 0 and finite nonnegative values
+    on finite inputs.  Symmetry is used only when a metric declares it:
+    `symmetric` promises d(x, y) == d(y, x) bit for bit, which the
+    built-in metrics keep and metrics from `register_metric` are not
+    assumed to.
     """
 
     name: str
@@ -93,30 +131,72 @@ class Metric:
         return float(self.pairwise(x, y)[0, 0])
 
 
-def _cdist_metric(name: str, scipy_name: str) -> Metric:
-    # scipy computes each of these distances from the elementwise |x - y|,
-    # so d(x, y) and d(y, x) agree bit for bit
-    def pairwise(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        Y = np.ascontiguousarray(Y, dtype=np.float64)
-        if X.shape[1] != Y.shape[1]:
-            raise ShapeError(
-                f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}"
-            )
-        return cdist(X, Y, metric=scipy_name)
+def _points(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.shape[1] != Y.shape[1]:
+        raise ShapeError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    return X, Y
 
-    return Metric(name, pairwise, symmetric=True)
+
+@dataclass(frozen=True)
+class _Builtin:
+    """The pairwise form of a built-in metric: the sum over coordinates of
+    (x_j - y_j)^2, or of |x_j - y_j| when `absolute`, and its square root
+    when `root`.
+
+    Two kernels compute it with the same bits, so d(x, y) == d(y, x) bit
+    for bit in both: `numpy` adds one coordinate's terms at a time into a
+    row block, in the order scipy's `cdist` sums them, then takes the
+    square root, as `cdist` does.  `numpy` costs more per distance, and
+    `cdist` a scipy import per process (see `_NUMPY_PAIR_DIMS`).
+    """
+
+    scipy_name: str
+    absolute: bool
+    root: bool
+
+    def __call__(self, X, Y) -> np.ndarray:
+        X, Y = _points(X, Y)
+        return self.kernel(X.shape[0] * Y.shape[0] * X.shape[1])(X, Y)
+
+    def kernel(self, pair_dims: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The kernel for `pair_dims` pairs of coordinates: `numpy` up to
+        `_NUMPY_PAIR_DIMS`, else `cdist`, whose module is imported here."""
+        if pair_dims <= _NUMPY_PAIR_DIMS:
+            return self.numpy
+        from scipy.spatial.distance import cdist
+
+        return partial(cdist, metric=self.scipy_name)
+
+    def numpy(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        m, d = X.shape
+        n = Y.shape[0]
+        out = np.empty((m, n))
+        rows = max(1, _KERNEL_ELEMS // max(1, n))
+        scratch = np.empty((min(rows, m), n))
+        term = np.absolute if self.absolute else np.square
+        # an overflow to inf is refused by `_check_finite`, as from `cdist`
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, m, rows):
+                acc = out[lo : lo + rows]
+                tmp = scratch[: acc.shape[0]]
+                for j in range(d):
+                    # the first term goes straight into the block: 0 + t == t
+                    dst = tmp if j else acc
+                    np.subtract(X[lo : lo + rows, j, None], Y[:, j], out=dst)
+                    term(dst, out=dst)
+                    if j:
+                        np.add(acc, tmp, out=acc)
+                if self.root:
+                    np.sqrt(acc, out=acc)
+        return out
 
 
 def _generic_pairwise(fn: Callable) -> Callable:
     # fallback for user metrics given only as a scalar function
     def pairwise(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        if X.shape[1] != Y.shape[1]:
-            raise ShapeError(
-                f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}"
-            )
+        X, Y = _points(X, Y)
         out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
         for i in range(X.shape[0]):
             for j in range(Y.shape[0]):
@@ -153,16 +233,43 @@ def list_metrics() -> list[str]:
     return sorted(_REGISTRY)
 
 
-_REGISTRY["sqeuclidean"] = _cdist_metric("sqeuclidean", "sqeuclidean")
-_REGISTRY["euclidean"] = _cdist_metric("euclidean", "euclidean")
-_REGISTRY["manhattan"] = _cdist_metric("manhattan", "cityblock")
+_REGISTRY["sqeuclidean"] = Metric("sqeuclidean", _Builtin("sqeuclidean", False, False), True)
+_REGISTRY["euclidean"] = Metric("euclidean", _Builtin("euclidean", False, True), True)
+_REGISTRY["manhattan"] = Metric("manhattan", _Builtin("cityblock", True, False), True)
 
 DEFAULT_METRIC = "sqeuclidean"
 
 # the metrics whose row blocks run on several threads, the three built-in
-# ones: scipy's `cdist` releases the GIL and keeps no state.  A metric from
+# ones: both their kernels keep no state and spend their time in numpy's
+# ufuncs or in `cdist`, which release the GIL.  A metric from
 # `register_metric` may do neither.
 _THREADED = tuple(_REGISTRY.values())
+
+
+def _kernel(metric: Metric, n: int, d: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The pairwise form every distance of an instance of `n` points in `d`
+    dimensions is computed with.
+
+    A built-in metric's kernel is chosen once per instance, from N * N * d
+    (see `_Builtin.kernel`), never from the shape of one block: the small
+    chunks of an on-the-fly solve at large N stay on `cdist`.  It is
+    chosen on the calling thread, so any scipy import happens there and
+    before a map starts its helpers.  Both kernels give the same bits, so
+    the choice never changes a distance, only which process pays the
+    import.  Any other metric computes with its own `pairwise`.
+    """
+    if isinstance(metric.pairwise, _Builtin):
+        return metric.pairwise.kernel(n * n * d)
+    return metric.pairwise
+
+
+def _kernel_scratch(n: int, rows: int) -> int:
+    """Floats the numpy kernel holds beside a (rows, N) block it computes,
+    at most: its scratch row block.  No instance with N * N over
+    `_NUMPY_PAIR_DIMS` runs it."""
+    if n * n > _NUMPY_PAIR_DIMS:
+        return 0
+    return min(rows, max(1, _KERNEL_ELEMS // n)) * n
 
 
 def _threads(blocks: int) -> int:
@@ -248,13 +355,15 @@ class DistanceCache:
     layout; any other metric is evaluated points first and transposed.
     Distances are checked where they are made (the precomputed matrix
     once, on-the-fly blocks as produced), so every objective a solver sees
-    is finite.
+    is finite.  On-the-fly rows are computed with the instance's kernel
+    (`_kernel`), chosen when the cache is made.
     """
 
     dataset: Dataset
     metric: Metric
     mode: str  # "precomputed" | "on-the-fly"
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
+    _pairwise: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("precomputed", "on-the-fly"):
@@ -266,6 +375,8 @@ class DistanceCache:
             if np.shape(self.matrix) != (n, n):
                 raise ShapeError(f"a {np.shape(self.matrix)} distance matrix for N={n}")
             _check_finite(self.matrix)
+        if self.mode == "on-the-fly":
+            self._pairwise = _kernel(self.metric, self.dataset.n, self.dataset.d)
 
     def columns(self, indices) -> np.ndarray:
         """Rows d(., x_j) for j in `indices`: the distance-matrix columns,
@@ -275,9 +386,9 @@ class DistanceCache:
             return self.matrix[idx]
         pts = self.dataset.points
         if self.metric.symmetric:
-            block = self.metric.pairwise(pts[idx], pts)
+            block = self._pairwise(pts[idx], pts)
         else:
-            block = self.metric.pairwise(pts, pts[idx]).T
+            block = self._pairwise(pts, pts[idx]).T
         return _check_finite(np.ascontiguousarray(block))
 
 
@@ -296,15 +407,16 @@ def distance_cache(
         return DistanceCache(ds, metric, "on-the-fly")
     mat = np.empty((n, n))
     step = _build_rows(n)
+    pairwise = _kernel(metric, n, ds.d)
 
     def build(lo: int) -> None:
         hi = min(n, lo + step)
         if metric.symmetric:
-            block = metric.pairwise(pts[lo:hi], pts[lo:])
+            block = pairwise(pts[lo:hi], pts[lo:])
             mat[lo:hi, lo:] = block
             mat[hi:, lo:hi] = block[:, hi - lo :].T
         else:
-            mat[lo:hi] = metric.pairwise(pts, pts[lo:hi]).T
+            mat[lo:hi] = pairwise(pts, pts[lo:hi]).T
 
     starts = range(0, n, step)
     _map_blocks(build, starts, _threads(len(starts)) if metric in _THREADED else 1)
@@ -344,8 +456,8 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     chunking nor the order of the fold affects the result bits.
 
     A precomputed cache's rows are taken from its matrix into two buffers
-    made once per call, chunks of `_BUFFER_ELEMS // N` configs, on the
-    calling thread: its gathers hold the GIL.  An on-the-fly cache
+    that the calling thread keeps between calls, in chunks of
+    `_BUFFER_ELEMS // N` configs, on that thread: its gathers hold the GIL.  An on-the-fly cache
     computes fresh rows through `columns`, in chunks of `_CHUNK_ELEMS // N`
     configs, and for a built-in metric on up to `_FLY_THREADS` threads,
     each holding one chunk at a time.  A chunk holds `_MIN_CHUNK_CONFIGS`
@@ -364,7 +476,9 @@ def evaluate_batch(ds: Dataset, configs, cache: DistanceCache) -> np.ndarray:
     n = ds.n
     if cache.mode == "precomputed":
         step = max(_MIN_CHUNK_CONFIGS, _BUFFER_ELEMS // n)
-        bufs = [np.empty((min(step, m), n), cache.matrix.dtype) for _ in range(min(k, 2))]
+        size = min(step, m) * n
+        kept = _kept_buffer("gather", min(k, 2) * size, cache.matrix.dtype)
+        bufs = [kept[lo : lo + size].reshape(-1, n) for lo in range(0, kept.size, size)]
 
         def rows(idx: np.ndarray, slot: int) -> np.ndarray:
             # "clip" writes straight into the buffer; the default "raise"

@@ -247,3 +247,35 @@ def test_console_script_entry_point(toy_csv):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["medoid_indices"] == [1, 3]
+
+
+# imports `ekmedoids.cli`, then runs `cluster` on argv; prints whether any
+# scipy module was loaded after each step
+_SCIPY_PROBE = """
+import sys
+def scipy():
+    return any(m.partition(".")[0] == "scipy" for m in sys.modules)
+import ekmedoids.cli
+print(scipy())
+code = ekmedoids.cli.main(sys.argv[1:])
+print(code, scipy())
+"""
+
+
+@pytest.mark.parametrize("d, loads", [(2, False), (48, True)], ids=["small", "above-threshold"])
+def test_cluster_imports_scipy_only_where_an_instance_needs_it(tmp_path, d, loads):
+    # N * N * d = 80,000 is computed by the numpy kernel: neither the import
+    # nor the run loads scipy.  1,920,000 is over the threshold: `cdist`
+    from ekmedoids import save_csv, synthetic
+    from ekmedoids.metrics import _NUMPY_PAIR_DIMS
+
+    assert (200 * 200 * d > _NUMPY_PAIR_DIMS) == loads
+    path = tmp_path / "points.csv"
+    save_csv(synthetic(200, d, 3, seed=4), path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, "cluster", "--input", str(path), "--k", "2",
+         "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", str(loads)]

@@ -49,6 +49,33 @@ def test_load_csv_bad_cell(tmp_path):
     assert (exc.value.row, exc.value.column) == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "text, error, where",
+    [
+        ("1,2\n3,4,5\n6\n", ShapeError, (1,)),
+        ("1,2\n3\n4,x\n", ShapeError, (1,)),
+        ("x,2\n3,4\n", ParseError, (0, 0)),
+        ("1,2\n3,4\n5,\n", ParseError, (2, 1)),
+        ("1,2\n3,y\n5,z\n", ParseError, (1, 1)),
+        ("1,2\n3,inf\n", ParseError, (1, 1)),
+    ],
+)
+def test_load_csv_names_the_first_bad_row_and_cell(tmp_path, text, error, where):
+    # whole rows are parsed at once; a failure anywhere still reports the
+    # first bad row or cell, as a cell by cell parse does
+    with pytest.raises(error) as exc:
+        load_csv(write(tmp_path, text))
+    got = (exc.value.row,) if error is ShapeError else (exc.value.row, exc.value.column)
+    assert got == where
+
+
+def test_load_csv_parses_each_cell_as_float(tmp_path):
+    cells = [" 1.5", "2_0", "-0", "1e-320", "7", "+.5"]
+    ds = load_csv(write(tmp_path, ",".join(cells) + "\n" + ",".join(reversed(cells)) + "\n"))
+    want = [[float(c) for c in cells], [float(c) for c in reversed(cells)]]
+    assert ds.points.tobytes() == np.array(want).tobytes()
+
+
 def test_load_csv_empty_file(tmp_path):
     with pytest.raises(EmptyDataset):
         load_csv(write(tmp_path, ""))

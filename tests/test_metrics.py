@@ -2,6 +2,7 @@ import itertools
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,61 @@ def test_half_triangle_build_equals_full_build(monkeypatch, name, n, d):
     monkeypatch.setattr(metrics, "_BUILD_ELEMS", STEP * n)
     got = distance_cache(ds, m, 2**31).matrix
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTIN_METRICS)
+def test_numpy_kernel_has_the_bits_of_cdist(name):
+    # the numpy kernel sums each distance's terms in `cdist`'s order: the
+    # same bits from underflow to overflow, with signed zeros, and so
+    # d(x, y) == d(y, x) and d(x, x) == 0 bit for bit
+    builtin = get_metric(name).pairwise
+    cdist = builtin.kernel(metrics._NUMPY_PAIR_DIMS + 1)
+    rng = np.random.default_rng(14)
+    for scale in 10.0 ** np.arange(-300, 301, 50):
+        for d in (1, 2, 3, 8, 33, 48):
+            for n in (1, 2, 17, 100):
+                X = rng.normal(size=(n, d)) * scale
+                X[rng.random(X.shape) < 0.1] = 0.0
+                X[rng.random(X.shape) < 0.1] = -0.0
+                Y = np.concatenate([rng.normal(size=(3, d)) * scale, -X])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = builtin.numpy(X, Y)
+                    assert got.tobytes() == cdist(X, Y).tobytes()
+                    assert builtin.numpy(Y, X).T.tobytes() == got.tobytes()
+                    assert builtin.numpy(X, X).diagonal().tobytes() == bytes(8 * n)
+
+
+@pytest.mark.parametrize("name", BUILTIN_METRICS)
+def test_kernel_choice_never_changes_a_solution(monkeypatch, name):
+    # numpy computes these instances' distances, or `cdist` with the
+    # threshold at 0: the same objective bits, medoids and labels
+    ds = synthetic(90, 3, 3, seed=14)
+    m = get_metric(name)
+    solutions = []
+    for pair_dims in (metrics._NUMPY_PAIR_DIMS, 0):
+        monkeypatch.setattr(metrics, "_NUMPY_PAIR_DIMS", pair_dims)
+        assert (metrics._kernel(m, ds.n, ds.d) == m.pairwise.numpy) == (pair_dims > 0)
+        solutions.append([
+            (s.objective.hex(), s.medoid_indices.tolist(), s.assignment.tolist())
+            for s in (solve_ekm(ds, SolverParams(k=k, metric=name)) for k in (1, 2, 3))
+        ])
+    assert solutions[0] == solutions[1]
+
+
+def test_kernel_is_chosen_per_instance():
+    # an on-the-fly cache computes small chunks of rows, but the kernel is
+    # the instance's: over the threshold N * N * d stays on `cdist`
+    m = get_metric("sqeuclidean")
+    small = synthetic(1024, 1, 2, seed=1)
+    large = synthetic(1025, 1, 2, seed=1)
+    assert small.n ** 2 <= metrics._NUMPY_PAIR_DIMS < large.n ** 2
+    assert distance_cache(small, m, 0)._pairwise == m.pairwise.numpy
+    assert distance_cache(large, m, 0)._pairwise != m.pairwise.numpy
+    # called directly, `pairwise` chooses by the size of the call: numpy
+    # here, with the bits of the cache's `cdist` rows
+    rows = m.pairwise(large.points[:8], large.points)
+    assert rows.tobytes() == distance_cache(large, m, 0).columns(range(8)).tobytes()
 
 
 def _counting_metric(symmetric: bool) -> tuple[Metric, list]:
@@ -451,6 +507,23 @@ def test_precomputed_batch_allocates_no_chunk_arrays():
     assert peak <= buffers + 8 * len(configs) + 64 * 1024
 
 
+def test_precomputed_batches_reuse_the_gather_buffers():
+    # the thread keeps its gather buffers: fresh ones per call faulted
+    # their pages in again after each heap trim, once per oracle block
+    ds = synthetic(100, 2, 3, seed=14)
+    cache = cache_for(ds)
+    configs = np.array(list(itertools.combinations(range(ds.n), 3)))[:4096]
+    want = evaluate_batch(ds, configs, cache)
+    tracemalloc.start()
+    try:
+        got = evaluate_batch(ds, configs, cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 8 * len(configs) + 64 * 1024
+
+
 # finite points whose squared distances overflow to inf
 OVERFLOW_POINTS = [1e200, 2e200, -1e200, 5.0]
 
@@ -469,8 +542,10 @@ SOLVERS = {
 @pytest.mark.parametrize("budget", [2**31, 0], ids=["precomputed", "on-the-fly"])
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_overflowing_distances_refused(solver, budget):
+    # silently: the kernel's overflow warns no more than `cdist` does
     ds = Dataset(points=np.array(OVERFLOW_POINTS)[:, None])
-    with pytest.raises(DistanceOverflow):
+    with warnings.catch_warnings(), pytest.raises(DistanceOverflow):
+        warnings.simplefilter("error")
         SOLVERS[solver](ds, budget)
 
 
@@ -521,24 +596,29 @@ def test_threads_do_not_change_bits(monkeypatch, name):
 
 
 def test_builtin_metrics_compute_on_several_threads(monkeypatch):
-    # the first `meet` `cdist` calls of a map wait for each other, so that
+    # the first `meet` kernel calls of a map wait for each other, so that
     # many threads must each take a block.  On-the-fly chunks run on three
     # threads even when eight CPUs are there
     threads = set()
-    cdist = metrics.cdist
+    kernel = metrics._kernel
 
     def meeting(meet):
         threads.clear()
         order = itertools.count()
         barrier = threading.Barrier(meet, timeout=10)
 
-        def meeting_cdist(*args, **kwargs):
-            threads.add(threading.get_ident())
-            if next(order) < meet:
-                barrier.wait()
-            return cdist(*args, **kwargs)
+        def meeting_kernel(*instance):
+            pairwise = kernel(*instance)
 
-        monkeypatch.setattr(metrics, "cdist", meeting_cdist)
+            def meeting_pairwise(X, Y):
+                threads.add(threading.get_ident())
+                if next(order) < meet:
+                    barrier.wait()
+                return pairwise(X, Y)
+
+            return meeting_pairwise
+
+        monkeypatch.setattr(metrics, "_kernel", meeting_kernel)
 
     ds = synthetic(40, 2, 2, seed=9)
     monkeypatch.setattr(metrics, "_BUILD_ELEMS", 4 * ds.n)
@@ -560,18 +640,23 @@ def test_builtin_metrics_compute_on_several_threads(monkeypatch):
 
 
 def test_failing_late_block_raises_distance_overflow(monkeypatch):
-    # `cdist` overflows only for the rows of point 57, in the chunk of
+    # the kernel overflows only for the rows of point 57, in the chunk of
     # configs 56 .. 63 (the eighth of 13); the threads are gone afterwards
     ds = Dataset(points=np.random.default_rng(57).normal(size=(100, 2)))
     monkeypatch.setattr(metrics, "_CHUNK_ELEMS", 8 * ds.n)
-    cdist = metrics.cdist
+    kernel = metrics._kernel
 
-    def cdist_57(X, Y, metric):
-        out = cdist(X, Y, metric)
-        out[(X == ds.points[57]).all(axis=1)] = np.inf
-        return out
+    def kernel_57(*instance):
+        pairwise = kernel(*instance)
 
-    monkeypatch.setattr(metrics, "cdist", cdist_57)
+        def pairwise_57(X, Y):
+            out = pairwise(X, Y)
+            out[(X == ds.points[57]).all(axis=1)] = np.inf
+            return out
+
+        return pairwise_57
+
+    monkeypatch.setattr(metrics, "_kernel", kernel_57)
     monkeypatch.setattr(metrics, "_THREADS", 3)
     cache = cache_for(ds, budget=0)
     before = threading.active_count()
