@@ -21,14 +21,6 @@ one `minimum` and one pairwise sum of a length-N row, the sum
 partials to reduce: its N single-point sets are scored by
 `evaluate_batch` itself.
 
-Small instances of K = 2 and 3 are scored in another order, along cyclic
-diagonals (`_score_cyclic`): every set still meets its rows once, with
-the same bits and the same tie rule, but a tile's `minimum` runs over
-whole rows of two strided views of one layout, so no point row is
-repeated, no tile entry lies outside the sets, and no level store or
-row-min gather is needed.  There a group's repeated point rows, its
-padding and its gathers cost a quarter or more of a solve.
-
 Tie rule: configurations are not scored in colexicographic order, so the
 incumbent compares (objective, colex rank) and keeps the smaller pair.
 The minimal-colex optimal medoid set is returned, deterministically.
@@ -36,14 +28,12 @@ The minimal-colex optimal medoid set is returned, deterministically.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .dataset import Dataset
 from .errors import DistanceOverflow, ExactKMedoidsError, InstanceTooLarge, RankOverflow
@@ -75,6 +65,7 @@ _CHUNK_ELEMS = 1 << 16
 _BUFSIZE = 1024
 
 
+
 def estimate_solver_bytes(n: int, k: int) -> int:
     """Upper estimate of solver-owned memory for an (n, k) instance.
 
@@ -102,67 +93,15 @@ def estimate_solver_bytes(n: int, k: int) -> int:
     # numpy buffers the broadcast `minimum` of scoring: at most three
     # operands of `_BUFSIZE` floats
     ufunc = 3 * _BUFSIZE
-    span = _shifts(n, k)
-    if span:
-        # a tile's row offsets hold one integer per row; a batch's entries
-        # at its minimum take a boolean mask, one byte each, and at most
-        # sixteen integer arrays of one per entry
-        extra = span * n
-        ties = 129 * scratch[3]
-    else:
-        # the row offsets of a tile hold one integer per row; a run of new
-        # level rows (see `_levels`) holds k+1 while it is built
-        run = max(_CHUNK_ELEMS // 8, math.comb(n - 1, k - 2)) if k > 2 else 0
-        extra = scratch[5] + (k + 1) * min(math.comb(n, k - 1), run)
-        # finding a group's first valid entry at its minimum takes two
-        # boolean masks of its values, one byte each, and an index per
-        # value column and row
-        ties = 2 * scratch[4] + 8 * (scratch[5] + n)
+    # the row offsets of a tile hold one integer per row; a run of new
+    # level rows (see `_levels`) holds k+1 while it is built
+    run = max(_CHUNK_ELEMS // 8, math.comb(n - 1, k - 2)) if k > 2 else 0
+    extra = scratch[5] + (k + 1) * min(math.comb(n, k - 1), run)
+    # finding a group's first valid entry at its minimum takes two boolean
+    # masks of its values, one byte each, and an index per value column
+    # and row
+    ties = 2 * scratch[4] + 8 * (scratch[5] + n)
     return levels + 8 * (n * n + build + sum(scratch) + ufunc + extra) + ties
-
-
-def _shifts(n: int, k: int) -> int:
-    """Cyclic shifts per tile when K = 2 or 3 is scored along cyclic
-    diagonals (`_score_cyclic`), else 0.  That is when one shift's N
-    zero-led rows fit a tile of `_CHUNK_ELEMS` floats K-1 times over
-    (N <= 255 for K = 2, N <= 180 for K = 3): from N = 220 on, K = 3 ran
-    no faster that way than in groups and tiles."""
-    if k not in (2, 3):
-        return 0
-    span = min(n // 2, _CHUNK_ELEMS // (n * (n + 1)))
-    return span if span >= k - 1 else 0
-
-
-def _cyclic_runs(n: int, k: int) -> list[tuple[int, int, int]]:
-    """(first, lo, hi) per run of cyclic cells, K = 2 or 3: the cell of
-    shift s in lo .. hi meets each point t with the points t + first (for
-    K = 3) and t + first + s, taken mod N.
-
-    For K = 2 the shifts 1 .. N//2 meet every pair.  For K = 3, a set's
-    three gaps around the circle sum to N, and each of its three
-    rotations puts one point first; a cell (first, s) takes the rotation
-    whose last gap N - first - s is larger than `first` and at least `s`.
-    Exactly one rotation does so unless all three gaps are N/3: those
-    sets, when 3 divides N, get a run of their own.
-    """
-    if k == 2:
-        return [(0, 1, n // 2)]
-    runs = [(d1, 1, min(n - 2 * d1 - 1, (n - d1) // 2)) for d1 in range(1, n // 2)]
-    runs = [r for r in runs if r[2] >= 1]
-    if n % 3 == 0:
-        runs.append((n // 3, n // 3, n // 3))
-    return runs
-
-
-def _cyclic_repeats(n: int, k: int) -> int:
-    """Cells of `_cyclic_runs` that meet a medoid set already met: the
-    shift N/2 of K = 2 meets each of its N/2 pairs twice, and the equal
-    gaps N/3 of K = 3 each of their N/3 sets three times."""
-    if k == 2 and n % 2 == 0:
-        return n // 2
-    if k == 3 and n % 3 == 0:
-        return 2 * n // 3
-    return 0
 
 
 def _shape(n: int, k: int) -> tuple[int, int, int]:
@@ -184,20 +123,9 @@ def _scratch(n: int, k: int) -> tuple[int, ...]:
     padded to a whole number of repeats, the gather buffer, a tile's
     later points, each repeated, the tile, the values of a group and one
     tile's sums; K = 1 needs none.  A group's later points are those
-    above its first partial's last point, at most N-K+1 of them.  Along
-    cyclic diagonals (`_shifts`) the parts are those of `_score_cyclic`."""
+    above its first partial's last point, at most N-K+1 of them."""
     if k == 1:
         return ()
-    span = _shifts(n, k)
-    if span:
-        # along cyclic diagonals: the zero-led rows twice over, the pair
-        # rows of up to `span` runs (K = 3), a tile of `span` shifts and a
-        # batch of tiles' sums, at most `_CHUNK_ELEMS` or one tile's, and
-        # no more than all of them
-        pairs = span * n * (n + 1) if k == 3 else 0
-        cells = sum(hi - lo + 1 for _, lo, hi in _cyclic_runs(n, k))
-        batch = min(cells, max(span, _CHUNK_ELEMS // n))
-        return (2 * n * (n + 1), pairs, span * n * (n + 1), batch * n)
     g, rows, reps = _shape(n, k)
     nq = n - k + 1
     return (-(-g // reps) * reps * (n + 1), g * n, min(rows // reps, nq) * reps * (n + 1),
@@ -321,80 +249,6 @@ def _score_partials(dt, store, g, cap, reps, buffers):
         yield values, r0, p0, valid
 
 
-def _score_cyclic(dt, k, span, buffers):
-    """Score every medoid set of K = 2 or 3 points along cyclic diagonals.
-
-    The zero-led rows of the medoid-major matrix `dt` are laid out twice
-    over, so that row t + s of the layout is point (t + s) mod N.  A run
-    of `_cyclic_runs` fixes `first`: for K = 3 its rows are the row-mins
-    of each point t with point t + first, built for `span` runs at once,
-    and for K = 2 the points' own rows.  Shift s then meets each of those
-    N rows with point t + first + s.  A tile takes `span` consecutive
-    shifts, and its `minimum` runs over N whole rows of both operands at
-    once: no row is repeated and every entry is a medoid set.  Tiles'
-    sums fill a batch of rows, so that the incumbent takes one minimum per
-    batch rather than per tile.  Yields (values, cells) per batch: a cell
-    (row, first, s0) says that values[row + r, t] is the objective of
-    {t, t + first, t + first + s0 + r} (for K = 2, of {t, t + s0 + r}) for
-    the rows of one tile, summed as `_score_partials` sums, so bit-equal
-    to `evaluate_batch`.
-    """
-    n = dt.shape[0]
-    w = n + 1
-    per = n * w
-    twice_buf, pair_buf, tile_buf, sums_buf = buffers
-    twice = twice_buf.reshape(2 * n, w)
-    twice[:, 0] = 0.0
-    twice[:n, 1:] = dt
-    twice[n:, 1:] = dt
-    # row s: the layout from point s on, N rows long
-    shifted = as_strided(twice_buf, shape=(n + 1, per), strides=(8 * w, 8), writeable=False)
-    starts = np.arange(0, span * per, w)
-    tiles = tile_buf.reshape(span, per)
-    rows = len(sums_buf) // n
-    values = sums_buf.reshape(rows, n)
-    filled, cells = 0, []
-    pairs, low = None, 0
-    for first, lo, hi in _cyclic_runs(n, k):
-        base = twice_buf[:per]
-        if k == 3:
-            if pairs is None or not low <= first < low + len(pairs):
-                low = first
-                pairs = pair_buf[: min(span, n - first) * per].reshape(-1, per)
-                np.minimum(shifted[first : first + len(pairs)], base, out=pairs)
-            base = pairs[first - low]
-        for s0 in range(lo, hi + 1, span):
-            b = min(span, hi + 1 - s0)
-            if filled + b > rows:
-                yield values[:filled], cells
-                filled, cells = 0, []
-            np.minimum(shifted[first + s0 : first + s0 + b], base, out=tiles[:b])
-            np.add.reduceat(tile_buf[: b * per], starts[: b * n], out=sums_buf[filled * n : (filled + b) * n])
-            cells.append((filled, first, s0))
-            filled += b
-    if filled:
-        yield values[:filled], cells
-
-
-def _least_set(hits, n: int, k: int, cells) -> tuple[int, np.ndarray]:
-    """(colex rank, medoids) of the least-ranked medoid set among the
-    entries `hits` (flat indices) of a `_score_cyclic` batch."""
-    heads = [cell[0] for cell in cells]
-    if hits.size == 1:
-        row, t = divmod(int(hits[0]), n)
-        head, first, s0 = cells[bisect.bisect_right(heads, row) - 1]
-        members = sorted(x % n for x in (t, t + first, t + first + s0 + row - head)[3 - k :])
-        return sum(math.comb(m, j + 1) for j, m in enumerate(members)), np.array(members)
-    row, t = np.divmod(hits, n)
-    head, first, s0 = np.array(cells)[np.searchsorted(heads, row, side="right") - 1].T
-    sets = np.sort(np.stack([t, t + first, t + first + s0 + row - head][3 - k :]) % n, axis=0)
-    ranks = sets[0] + sets[1] * (sets[1] - 1) // 2
-    if k == 3:
-        ranks += sets[2] * (sets[2] - 1) * (sets[2] - 2) // 6
-    j = int(ranks.argmin())
-    return int(ranks[j]), sets[:, j].copy()
-
-
 def check_solvable(ds: Dataset, params: SolverParams) -> int:
     """Make every refusal of `solve_ekm` (the instance, `RankOverflow`, the
     memory budget) before any distance is computed; return K."""
@@ -435,78 +289,59 @@ def solve_ekm(
     # for K >= 2, check_solvable counted the matrix this builds
     cache = _solve_cache(ds, cache, params.metric, params.distance_budget())
     n = ds.n
-    span = _shifts(n, k)
     level_log: Optional[list[list[int]]] = [] if record_level_sizes else None
-    # scoring along cyclic diagonals reads no level store; a requested log
-    # still comes from the stores
-    store = _levels(n, k, level_log)[k - 1] if level_log is not None or not span else None
+    store = _levels(n, k, level_log)[k - 1]
     # the incumbent orders by (objective, colex rank); every objective is
     # finite (see DistanceCache), so the +inf of an unscored entry never wins
     best_val = math.inf
-    best_rank = -1
-    best_set = None
+    best_rank = best_row = best_q = -1
     if k == 1:
         # the colex rank of {q} is q, so the first minimum wins the tie rule
         values = evaluate_batch(ds, np.arange(n)[:, None], cache)
-        best_rank = int(values.argmin())
-        best_val, best_set, evaluated = float(values[best_rank]), np.array([best_rank]), n
+        best_q = best_rank = int(values.argmin())
+        best_val, best_row, evaluated = float(values[best_q]), 0, n
     else:
         # scoring reads whole rows, so a passed on-the-fly cache is precomputed here
         if cache.mode != "precomputed":
             cache = distance_cache(ds, cache.metric, 8 * n * n)
         sizes = _scratch(n, k)
-        # one scratch buffer, cut into its parts; each thread keeps the one
-        # of its largest solve so far: a fresh one page faults on first
-        # touch, which in the a5 sweep made K=2 at N=100 cost about a
-        # quarter more per distance-min
+        # one scratch buffer, cut into the six; each thread keeps the one of
+        # its largest solve so far: a fresh one page faults on first touch,
+        # which in the a5 sweep made K=2 at N=100 cost about a quarter more
+        # per distance-min
         scratch = _kept_buffer("score", sum(sizes))
         ends = list(itertools.accumulate(sizes))
         buffers = [scratch[e - size : e] for e, size in zip(ends, sizes)]
         evaluated = 0
         bufsize = np.setbufsize(_BUFSIZE)
         try:
-            if span:
-                # a set met more than once is counted once
-                evaluated = -_cyclic_repeats(n, k)
-                for values, cells in _score_cyclic(cache.matrix, k, span, buffers):
-                    evaluated += values.size
-                    vmin = float(np.minimum.reduce(values, axis=None))
-                    if vmin > best_val:
-                        continue
-                    # every entry is a medoid set, so the least rank at vmin
-                    # wins; a set met more than once has the same bits each time
-                    rank, members = _least_set(np.flatnonzero(values == vmin), n, k, cells)
-                    if vmin < best_val or rank < best_rank:
-                        best_val, best_rank, best_set = vmin, rank, members
-            else:
-                for values, r0, p0, valid in _score_partials(cache.matrix, store, *_shape(n, k), buffers):
-                    evaluated += sum(valid)
-                    vmin = float(values.min())
-                    if vmin > best_val:
-                        continue
-                    # past a point's prefix a tile scores the point with a
-                    # partial that does not end below it: a K-set, whose own
-                    # entry has the same bits as `minimum` is exact, or a K-1
-                    # set, which the partial's entry with its next point does
-                    # not undercut.  So the minimum is a K-set's; the first
-                    # valid entry at it has the group's least rank there, and
-                    # if there is none, the K-set's own entry is at it in
-                    # another group
-                    hits = values == vmin
-                    hits &= np.arange(hits.shape[1]) < np.array(valid)[:, None]
-                    flat = int(hits.argmax())
-                    if not hits.flat[flat]:
-                        continue
-                    dq, dr = divmod(flat, hits.shape[1])
-                    q, row = p0 + 1 + dq, r0 + dr
-                    rank = math.comb(q, k) + row
-                    if vmin < best_val or rank < best_rank:
-                        best_val, best_rank, best_set = vmin, rank, np.append(store[row], q)
+            for values, r0, p0, valid in _score_partials(cache.matrix, store, *_shape(n, k), buffers):
+                evaluated += sum(valid)
+                vmin = float(values.min())
+                if vmin > best_val:
+                    continue
+                # past a point's prefix a tile scores the point with a partial
+                # that does not end below it: a K-set, whose own entry has the
+                # same bits as `minimum` is exact, or a K-1 set, which the
+                # partial's entry with its next point does not undercut.  So
+                # the minimum is a K-set's; the first valid entry at it has
+                # the group's least rank there, and if there is none, the
+                # K-set's own entry is at it in another group
+                hits = values == vmin
+                hits &= np.arange(hits.shape[1]) < np.array(valid)[:, None]
+                flat = int(hits.argmax())
+                if not hits.flat[flat]:
+                    continue
+                dq, dr = divmod(flat, hits.shape[1])
+                q, row = p0 + 1 + dq, r0 + dr
+                rank = math.comb(q, k) + row
+                if vmin < best_val or rank < best_rank:
+                    best_val, best_rank, best_row, best_q = vmin, rank, row, q
         finally:
             np.setbufsize(bufsize)
     if best_rank < 0:
         raise DistanceOverflow("no medoid set has a finite objective")
-    medoids = best_set
+    medoids = np.append(store[best_row], best_q)
     check = evaluate_objective(ds, medoids, cache)
     if check != best_val:
         raise ExactKMedoidsError(

@@ -529,21 +529,15 @@ def _check_range(ds: Dataset, indices: np.ndarray) -> None:
 def _check_medoids(ds: Dataset, medoids) -> np.ndarray:
     med = np.asarray(medoids, dtype=np.int64).ravel()
     _check_range(ds, med)
-    if (med[1:] <= med[:-1]).any():
+    if med.size > 1 and np.any(np.diff(med) <= 0):
         raise InvalidArguments("medoid indices must be strictly increasing")
     return med
 
 
 def evaluate_objective(ds: Dataset, medoids, cache: DistanceCache) -> float:
-    """Total deviation of a sorted medoid index list (the clustering objective).
-
-    The medoids' rows are folded by an exact `minimum` and summed as one
-    contiguous row, so the bits are those `evaluate_batch` gives the same
-    set, without its chunking.
-    """
-    _check_cache(ds, cache)
+    """Total deviation of a sorted medoid index list (the clustering objective)."""
     med = _check_medoids(ds, medoids)
-    return float(np.add.reduce(np.minimum.reduce(cache.columns(med), axis=0)))
+    return float(evaluate_batch(ds, med[None, :], cache)[0])
 
 
 def assign(ds: Dataset, medoids, cache: DistanceCache) -> np.ndarray:

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 import tracemalloc
@@ -262,9 +261,8 @@ def test_k1_memory_does_not_grow_with_the_cpu_count(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, k, chunk",
-    [(800, 2, None), (50, 3, None), (12, 5, None), (40, 4, None), (800, 2, 1 << 12),
-     (100, 2, None), (200, 3, None)],
-    ids=["n800-k2", "n50-k3", "n12-k5", "n40-k4", "build-bound", "n100-k2", "n200-k3"],
+    [(800, 2, None), (50, 3, None), (12, 5, None), (40, 4, None), (800, 2, 1 << 12)],
+    ids=["n800-k2", "n50-k3", "n12-k5", "n40-k4", "build-bound"],
 )
 def test_memory_estimate_bounds_a_solve_that_builds_its_matrix(monkeypatch, n, k, chunk):
     # with no cache passed, a K >= 2 solve builds its matrix, a block in
@@ -327,11 +325,9 @@ def test_ties_across_scoring_blocks(monkeypatch, chunk, smallest, largest):
     # point rows repeated 2-3 times per 16-float buffer: groups of one
     # partial with tiles of one point; one group for the whole store, in
     # tiles of several points; groups of 2-6 partials, tiles of 3-8 rows,
-    # that split one step's partials and span steps.  K = 2 and 3 are
-    # scored in groups and tiles too, not along cyclic diagonals
+    # that split one step's partials and span steps
     monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
     monkeypatch.setattr(ekm, "_BUFSIZE", 16)
-    monkeypatch.setattr(ekm, "_shifts", lambda n, k: 0)
     rng = np.random.default_rng(2024)
     for _ in range(12):
         n = int(rng.integers(5, 14))
@@ -358,11 +354,9 @@ def test_ties_across_block_shapes_k2_to_k5(monkeypatch, chunk, bufsize):
     # at N = 9, with point rows repeated twice per 16-float buffer: groups
     # of 2 partials that start and end inside a step's partials (K >= 3)
     # and span several steps; groups of up to 40 whose tiles take several
-    # points; one group for everything, each point's row repeated 103
-    # times.  K = 2 and 3 too, not along cyclic diagonals
+    # points; one group for everything, each point's row repeated 103 times
     monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
     monkeypatch.setattr(ekm, "_BUFSIZE", bufsize)
-    monkeypatch.setattr(ekm, "_shifts", lambda n, k: 0)
     rng = np.random.default_rng(13)
     for _ in range(6):
         ds = Dataset(points=rng.integers(0, 3, size=(9, 2)).astype(float))
@@ -373,63 +367,6 @@ def test_ties_across_block_shapes_k2_to_k5(monkeypatch, chunk, bufsize):
             assert a.objective.hex() == b.objective.hex()
             assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
             assert a.evaluated_configurations == math.comb(9, k)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_cyclic_runs_meet_every_set_once(k):
-    # the cells of the cyclic runs meet every k-subset of range(n), each
-    # with k distinct points, and only the cells `_cyclic_repeats` counts
-    # meet a set already met
-    for n in range(k, 41):
-        met = collections.Counter()
-        for first, lo, hi in ekm._cyclic_runs(n, k):
-            for s in range(lo, hi + 1):
-                for t in range(n):
-                    pts = (t, t + first, t + first + s)[3 - k :]
-                    key = tuple(sorted(p % n for p in pts))
-                    assert len(set(key)) == k, (n, first, s, t)
-                    met[key] += 1
-        assert set(met) == set(itertools.combinations(range(n), k)), n
-        assert sum(met.values()) - ekm._cyclic_repeats(n, k) == math.comb(n, k), n
-
-
-@pytest.mark.parametrize("shifts", [1, 2, None], ids=["one-shift-tiles", "two-shift-tiles", "whole-runs"])
-def test_ties_along_cyclic_diagonals(monkeypatch, shifts):
-    # integer-grid points with many duplicates make many exact ties, on
-    # odd N, even N (the shift N/2 meets its pairs twice) and N divisible
-    # by 3 (the equal gaps of K = 3); tiles split the runs or take each
-    # whole
-    rng = np.random.default_rng(77)
-    for n in (5, 6, 7, 9, 12, 13):
-        ds = Dataset(points=rng.integers(0, 3, size=(n, 2)).astype(float))
-        cache = cache_for(ds)
-        for k in (2, 3):
-            chunk = (shifts or n) * n * (n + 1)
-            if k == 3 and shifts == 1:
-                chunk = 2 * n * (n + 1)
-            monkeypatch.setattr(ekm, "_CHUNK_ELEMS", chunk)
-            assert ekm._shifts(n, k) > 0
-            a = solve_ekm(ds, SolverParams(k=k), cache=cache)
-            b = solve_exhaustive(ds, SolverParams(k=k), cache=cache)
-            assert a.objective.hex() == b.objective.hex()
-            assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
-            assert a.evaluated_configurations == math.comb(n, k)
-
-
-@pytest.mark.parametrize("n, k", [(60, 2), (61, 3), (45, 3)])
-def test_cyclic_diagonals_and_tiles_agree(monkeypatch, n, k):
-    # the same objective bits, medoids and labels whichever way K = 2 or 3
-    # is scored
-    ds = synthetic(n, 3, k, seed=n)
-    cache = cache_for(ds)
-    assert ekm._shifts(n, k) > 0
-    a = solve_ekm(ds, SolverParams(k=k), cache=cache)
-    monkeypatch.setattr(ekm, "_shifts", lambda n, k: 0)
-    b = solve_ekm(ds, SolverParams(k=k), cache=cache)
-    assert a.objective.hex() == b.objective.hex()
-    assert a.medoid_indices.tolist() == b.medoid_indices.tolist()
-    assert np.array_equal(a.assignment, b.assignment)
-    assert a.evaluated_configurations == b.evaluated_configurations == math.comb(n, k)
 
 
 def test_all_zero_distances_keep_the_oracle_bits():

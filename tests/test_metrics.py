@@ -246,21 +246,6 @@ def test_cache_modes_agree_bit_exactly():
             assert rows.tobytes() == pre.columns(idx).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 50, 127, 128, 129, 300, 1025])
-def test_evaluate_objective_has_the_bits_of_evaluate_batch(n):
-    # one set's rows folded and summed as one row, on either cache mode,
-    # against `evaluate_batch` on the same set
-    rng = np.random.default_rng(n)
-    ds = synthetic(n, 3, 1, seed=n)
-    for name in BUILTIN_METRICS:
-        for budget in (2**31, 0):
-            cache = cache_for(ds, name, budget)
-            for k in range(1, min(n, 5) + 1):
-                med = np.sort(rng.choice(n, k, replace=False))
-                want = evaluate_batch(ds, med[None, :], cache)[0]
-                assert evaluate_objective(ds, med, cache).hex() == want.hex()
-
-
 @pytest.mark.parametrize(
     "mode, matrix, error",
     [
